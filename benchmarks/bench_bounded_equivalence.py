@@ -4,7 +4,7 @@ The paper's complexity discussion after Theorem 4.8 gives a double-exponential
 upper bound in the term size: the procedure enumerates all subsets of BASE and
 all complete orderings of T.  The benchmark measures the running time for
 N = 0, 1, 2 on a fixed query pair, reports the sizes of the enumerated spaces,
-and runs the symmetry-reduction ablation called out in DESIGN.md.
+and runs a symmetry-reduction ablation.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def test_ordering_enumeration_grows_superexponentially(benchmark, variables, rep
     report_lines.append(f"[E1] complete orderings of {variables} variables: {count}")
 
 
-@pytest.mark.paper_artifact("Symmetry-reduction ablation (DESIGN.md)")
+@pytest.mark.paper_artifact("Symmetry-reduction ablation")
 @pytest.mark.parametrize("symmetry_reduction", [True, False], ids=["reduced", "naive"])
 def test_symmetry_reduction_ablation(benchmark, symmetry_reduction, report_lines):
     equivalent_first = parse_query("q(max(y)) :- p(y), not r(y)")

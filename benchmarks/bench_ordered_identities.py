@@ -58,7 +58,7 @@ def test_ordered_identity_throughput(benchmark, function_name, report_lines):
     )
 
 
-@pytest.mark.paper_artifact("Specialized-decider ablation (DESIGN.md)")
+@pytest.mark.paper_artifact("Specialized-decider ablation")
 @pytest.mark.parametrize("decider", ["specialized-cardinality", "generic-shiftable"])
 def test_count_decider_ablation(benchmark, decider, report_lines):
     function = get_function("count")

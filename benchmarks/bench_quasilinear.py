@@ -54,7 +54,7 @@ def test_quasilinear_scaling_negative(benchmark, length, report_lines):
     )
 
 
-@pytest.mark.paper_artifact("Quasilinear fast-path ablation (DESIGN.md)")
+@pytest.mark.paper_artifact("Quasilinear fast-path ablation")
 def test_fast_path_vs_general_procedure(benchmark, report_lines):
     """On the smallest chain the general procedure is already orders of
     magnitude slower than the isomorphism test; this is the ablation for the

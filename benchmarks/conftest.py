@@ -1,14 +1,13 @@
 """Shared configuration for the benchmark harness.
 
 Each ``bench_*.py`` file regenerates one artifact of the paper (Table 1,
-Table 2, or a complexity claim) — see DESIGN.md's per-experiment index and
-EXPERIMENTS.md for the mapping and for the paper-vs-measured record.
+Table 2, or a complexity claim); its module docstring names the artifact and
+its ``paper_artifact`` marker maps it to one.
 
 Besides the timing numbers collected by pytest-benchmark, every benchmark
 appends one or more human-readable result rows to a session-wide report; the
 report is printed at the end of the run and written to
-``benchmarks/reproduction_summary.txt`` so it can be diffed against
-EXPERIMENTS.md.
+``benchmarks/reproduction_summary.txt`` so two runs can be diffed.
 """
 
 from __future__ import annotations

@@ -146,7 +146,35 @@ class Database:
         return self._facts <= other._facts
 
     def add_facts(self, facts: Iterable) -> "Database":  # noqa: ANN001
-        return Database(set(self._facts) | {_coerce_fact(fact) for fact in facts})
+        """The database extended with ``facts``.
+
+        Only the added facts are coerced: the receiver's normalized facts,
+        relations and carrier are reused, and relations no added fact
+        touches are shared with the receiver rather than rebuilt.
+        """
+        added = {_coerce_fact(fact) for fact in facts} - self._facts
+        if not added:
+            return self
+        grown: dict[str, set[tuple]] = {}
+        values: set[NumericValue] = set()
+        for fact in added:
+            grown.setdefault(fact.predicate, set()).add(fact.values)
+            values.update(fact.values)
+        by_predicate = dict(self._by_predicate)
+        for predicate, rows in grown.items():
+            by_predicate[predicate] = by_predicate.get(predicate, frozenset()) | rows
+        extended = Database.__new__(Database)
+        extended._facts = self._facts | added
+        extended._by_predicate = by_predicate
+        if values <= self._carrier:
+            extended._carrier = self._carrier
+            extended._sorted_carrier = self._sorted_carrier
+        else:
+            extended._carrier = self._carrier | values
+            extended._sorted_carrier = None
+        extended._indexes = {}
+        extended._distincts = {}
+        return extended
 
     def restrict_to_predicates(self, predicates: Iterable[str]) -> "Database":
         wanted = set(predicates)

@@ -19,8 +19,9 @@ the *scope* that owns the counter's reset semantics:
   symmetry, ordering classes examined, identities checked).  Never reset by
   the cache clears; they describe *work performed*, not cache state.
 * ``parallel.`` — executor counters (pool forks).
-* ``session.`` — workspace-layer counters (verdict-cache hits/misses).
-  Like ``sweep.``, these survive every cache clear.
+* ``session.`` — workspace-layer counters (verdict-cache and view-extent
+  hits/misses, store hits).  Like ``sweep.``, these survive every cache
+  clear.
 * ``worker.`` — the aggregated deltas merged back from pool workers: a
   worker-side increment of ``engine.kernel.compiles`` lands here as
   ``worker.engine.kernel.compiles``.  This is the slice that makes worker
@@ -35,7 +36,11 @@ honest).  Snapshot/diff/merge are the worker-aggregation contract: a task
 runner snapshots before the task, diffs after, ships the delta inside the
 (picklable) outcome, and the parent merges every delta under ``worker.`` —
 deterministically, since integer addition commutes, so merged totals never
-depend on worker scheduling.
+depend on the order in which outcomes arrive.  What a worker *counts* can
+still depend on scheduling: the kernel and columnar-store caches are per
+process, so a kernel needed by tasks that land on two workers is compiled
+twice, and the compile/hit (build/hit) split of a parallel run depends on
+which worker ran which task even where its lookups match a serial run's.
 """
 
 from __future__ import annotations

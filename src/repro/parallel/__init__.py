@@ -9,8 +9,9 @@ shards (:mod:`repro.parallel.tasks`) and runs them through pluggable
 executors (:mod:`repro.parallel.executor`): serial for reference and
 debugging, or a multiprocessing pool with chunked dispatch, early exit via a
 shared cancellation event, and deterministic merging of verdicts and
-witnesses.  Sweep pools are forked after a serial warm prefix, so workers
-inherit the parent's shared Γ / comparison caches copy-on-write.
+witnesses.  Pools are forked after a serial warm prefix — of the subset
+stream for sweeps, of the pair tasks for matrix cells — so workers inherit
+the parent's Γ / comparison / kernel caches copy-on-write.
 
 Users normally reach this subsystem through ``workers=N`` on
 :func:`repro.core.bounded.bounded_equivalence` or

@@ -72,22 +72,7 @@ def naive_estimated_cost(query: Query, database: Database) -> int:
     return total
 
 
-def _column_distinct_count(
-    database: Database, predicate: str, position: int, memo: dict
-) -> int:
-    """Distinct values in one column of a stored relation (memoized per call
-    — the ranking probes the same view extents for every candidate)."""
-    key = (predicate, position)
-    cached = memo.get(key)
-    if cached is None:
-        cached = len({row[position] for row in database.relation(predicate)})
-        memo[key] = cached
-    return cached
-
-
-def estimated_cost(
-    query: Query, database: Database, _memo: Optional[dict] = None
-) -> int:
+def estimated_cost(query: Query, database: Database) -> int:
     """A distinct-count join-cardinality estimate over the stored extents.
 
     Atoms are joined left to right (candidates put their view atom first, so
@@ -102,9 +87,11 @@ def estimated_cost(
     distinct values costs ~one row per group, not ``|view| × |residual|``.
 
     Estimates are floored at one row per atom, summed over disjuncts, so a
-    fact-table scan still dominates every pre-aggregated probe.
+    fact-table scan still dominates every pre-aggregated probe.  Distinct
+    counts come from :meth:`Database.distinct_count`, memoized on the
+    database itself, so ranking every candidate over the same extents
+    counts each column once.
     """
-    memo: dict = _memo if _memo is not None else {}
     total = 0
     for disjunct in query.disjuncts:
         rows = 1
@@ -114,9 +101,7 @@ def estimated_cost(
             selectivity = 1
             for position, argument in enumerate(atom.arguments):
                 if isinstance(argument, Constant) or argument in bound:
-                    selectivity *= max(
-                        1, _column_distinct_count(database, atom.predicate, position, memo)
-                    )
+                    selectivity *= max(1, database.distinct_count(atom.predicate, position))
             rows *= max(1, size // selectivity)
             bound |= {
                 argument for argument in atom.arguments if not isinstance(argument, Constant)
@@ -349,6 +334,7 @@ def assemble_report(
     rejected: Sequence[RejectedCandidate],
     views: ViewCatalog,
     database: Optional[Database] = None,
+    materialized: Optional[Database] = None,
 ) -> RewritingReport:
     """Partition verified candidates into a :class:`RewritingReport` and —
     with a database — rank the safe bucket by estimated cost over the
@@ -357,7 +343,10 @@ def assemble_report(
     Split out of :meth:`RewritingEngine.rewrite` so a session
     (:meth:`repro.session.Workspace.rewrite`) can cache the expensive
     verification outcomes and re-assemble reports per call (the ranking
-    depends on the database; the verdicts do not).
+    depends on the database; the verdicts do not).  ``materialized`` is
+    ``views.materialize(database)`` when the caller already holds it (the
+    session keeps the extents of its last ranking database); ``None``
+    materializes them here.
     """
     report = RewritingReport(query=query, rejected=list(rejected))
     for outcome in verified:
@@ -368,13 +357,11 @@ def assemble_report(
         else:
             report.unverified.append(outcome)
     if database is not None:
-        materialized = views.materialize(database)
-        memo: dict = {}
+        if materialized is None:
+            materialized = views.materialize(database)
         report.direct_cost = estimated_cost(query, database)
         for outcome in report.safe:
-            outcome.estimated_cost = estimated_cost(
-                outcome.candidate.query, materialized, memo
-            )
+            outcome.estimated_cost = estimated_cost(outcome.candidate.query, materialized)
         report.safe.sort(
             key=lambda outcome: (outcome.estimated_cost, outcome.candidate.name)
         )

@@ -35,8 +35,10 @@ workspace pays them once and amortizes them over the session:
 
 * **Cached rewriting.**  :meth:`Workspace.rewrite` runs the PR 4 engine
   against the session's view catalog through the session executor, caching
-  verification outcomes per (query, limit); registering a view invalidates
-  the rewriting caches (verdicts may change), while adding queries does not.
+  verification outcomes per (query, limit) and the materialized view
+  extents of the last ranking database; registering a view invalidates
+  the rewriting caches (verdicts and extents may change), while adding
+  queries does not.
 
 Reuse caveat: a cell decided in an earlier call is returned as decided then.
 Verdicts and methods are stable — equivalence is a property of the pair —
@@ -102,8 +104,9 @@ class WorkspaceStats:
     Beyond the session-layer reuse counters, ``counters`` carries the
     process-wide metrics registry (:data:`repro.obs.REGISTRY`) grouped by
     scope — ``engine`` (kernel/store/Γ/dispatch), ``sweep`` (enumeration
-    effort), ``parallel`` (pool lifecycle) and ``worker`` (deltas shipped
-    back from pool workers and merged by the parent) — and ``plan_cache``
+    effort), ``parallel`` (pool lifecycle), ``session`` (verdict-cache,
+    store and view-extent reuse) and ``worker`` (deltas shipped back from
+    pool workers and merged by the parent) — and ``plan_cache``
     the planner's LRU statistics.  :meth:`report` renders the whole thing
     as an indented hierarchy.
     """
@@ -222,6 +225,9 @@ class Workspace:
             tuple[Query, int],
             tuple[list[VerifiedRewriting], list[RejectedCandidate]],
         ] = {}
+        # The view extents of the last ranking database, as
+        # {database: views.materialize(database)} with at most one entry.
+        self._extents: dict[Database, Database] = {}
         self._decided_cells = 0
         self._verdict_cache_hits = 0
         self._store_hits = 0
@@ -239,7 +245,8 @@ class Workspace:
     def close(self) -> None:
         """End the session: terminate the owned worker pool and drop the
         per-session caches (the structural verdict cache, the rewrite
-        verification cache, the rewriting engine, the grown shared context).
+        verification cache, the materialized view extents, the rewriting
+        engine, the grown shared context).
         Idempotent; a closed workspace refuses further *work* but keeps its
         settled cells and provenance, so :meth:`explain` stays available.
 
@@ -249,6 +256,7 @@ class Workspace:
         self._closed = True
         self._verdict_cache.clear()
         self._rewrite_cache.clear()
+        self._extents.clear()
         self._engine = None
         self._context = None
         if self._owns_executor and self._executor is not None:
@@ -393,7 +401,7 @@ class Workspace:
         parser lowercases table references, so a mixed-case Datalog view
         stays rewriting-only rather than being rejected.  Registering
         invalidates the session's rewriting caches, since new views change
-        which rewritings exist.
+        which rewritings exist and what the materialized extents hold.
         """
         self._require_open()
         if isinstance(view, View):
@@ -422,6 +430,7 @@ class Workspace:
         # work — untouched.
         self._engine = None
         self._rewrite_cache.clear()
+        self._extents.clear()
         return registered
 
     def _adopt_datalog_view(self, view: View, columns: Optional[Sequence[str]]) -> View:
@@ -646,6 +655,15 @@ class Workspace:
         is reused, never re-forked — and its outcomes are cached per
         (query, limit): repeated calls (or calls differing only in the
         ranking ``database``) skip straight to report assembly.
+
+        Ranking against ``database`` needs the view extents materialized
+        over it.  The session keeps the extents of the last ranking
+        database (one entry, keyed by the database's value), so repeated
+        calls against the same ``database`` materialize once; a call with
+        a different database replaces them, and :meth:`register_view` and
+        :meth:`close` drop them.  ``database=None`` never materializes.
+        The ``session.extents.hits`` / ``.misses`` counters record the
+        reuse.
         """
         self._require_open()
         parsed = self._coerce_query(query, None)
@@ -673,13 +691,23 @@ class Workspace:
         else:
             self._rewrite_cache_hits += 1
         verified, rejected = cached
+        materialized: Optional[Database] = None
+        if database is not None:
+            materialized = self._extents.get(database)
+            if materialized is None:
+                _OBS.inc("session.extents.misses")
+                materialized = engine.views.materialize(database)
+                self._extents.clear()
+                self._extents[database] = materialized
+            else:
+                _OBS.inc("session.extents.hits")
         # Each report gets its own VerifiedRewriting wrappers: assemble_report
         # fills estimated_cost in place, and a later call with a different
         # ranking database must not rewrite the costs inside reports already
         # handed out.
         return assemble_report(
             parsed, [replace(outcome) for outcome in verified], rejected,
-            engine.views, database,
+            engine.views, database, materialized,
         )
 
     def _rewriting_engine(self) -> RewritingEngine:

@@ -38,6 +38,7 @@ executor, so the two can never diverge.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -46,6 +47,7 @@ from ..core.bounded import (
     SharedBaseContext,
     _catalog_base_size,
     _catalog_is_comparison_free,
+    _executor_wants_warm_prefix,
     sweep_equivalence,
 )
 from ..core.equivalence import (
@@ -357,6 +359,26 @@ def _sweep_cell_result(
 # ----------------------------------------------------------------------
 # The equivalence matrix
 # ----------------------------------------------------------------------
+def _pair_warm_prefix(tasks: Sequence) -> list:
+    """The leading pair tasks the parent decides itself before a pool forks:
+    the shortest prefix in which every query shared by several tasks
+    appears.  The first task touching a query compiles its kernels and fills
+    its Γ entries; run in the parent, those land in caches every forked
+    worker inherits, so the workers stop rebuilding them once each (the
+    pair-path analogue of the sweep's warm prefix).  A query only one task
+    touches gains nothing from warming, so a rewriting row (one target,
+    one task per candidate) warms the target alone."""
+    uses = Counter(name for task in tasks for name in (task.name_a, task.name_b))
+    pending = {name for name, count in uses.items() if count > 1}
+    prefix = []
+    for task in tasks:
+        if not pending:
+            break
+        prefix.append(task)
+        pending -= {task.name_a, task.name_b}
+    return prefix
+
+
 def decide_pairs(
     queries: Mapping[str, Query],
     pairs: Optional[Sequence[tuple[str, str]]] = None,
@@ -453,7 +475,14 @@ def decide_pairs(
             context=context,
             pairs=pair_subset,
         )
-        outcomes = resolve_executor(workers, executor).run(pair_runner, tasks)
+        runner = resolve_executor(workers, executor)
+        prefix = (
+            _pair_warm_prefix(tasks)
+            if runner.workers > 1 and _executor_wants_warm_prefix(executor)
+            else []
+        )
+        outcomes = [pair_runner(task) for task in prefix]
+        outcomes += runner.run(pair_runner, tasks[len(prefix):])
         absorb_worker_metrics(outcomes)
         for outcome in sorted(outcomes, key=lambda outcome: outcome.task_index):
             results[(outcome.name_a, outcome.name_b)] = outcome.result

@@ -4,8 +4,10 @@ Four contracts are load-bearing:
 
 * **Registry semantics** — snapshot/diff/merge compose deterministically
   (integer addition commutes), so parent-merged worker deltas never depend
-  on scheduling, and the serial and workers=2 runs of the same catalog
-  report identical engine/sweep counter totals.
+  on the order outcomes arrive in, and the serial and workers=2 runs of the
+  same catalog report identical engine/sweep work totals.  The per-process
+  kernel cache is the exception: its lookups total the same, but which
+  lookups compile depends on which worker ran which task.
 * **Reset semantics** — cache clears reset exactly the registry scopes that
   describe the dropped caches (``engine.kernel.`` / ``engine.store.`` /
   ``engine.dispatch.`` for :func:`clear_evaluation_caches`, ``engine.gamma.``
@@ -203,38 +205,107 @@ class TestResetSemantics:
 # ----------------------------------------------------------------------
 # Counter parity: serial == merged workers=2, per catalog
 # ----------------------------------------------------------------------
+#: Kernel-cache counters checked by :meth:`TestCounterParity._assert_kernel_parity`
+#: instead of equality: compiles and the hits they split lookups with.
+#: ``engine.kernel.verified`` counts the compiles ``REPRO_VERIFY_KERNELS``
+#: verifies, so it follows ``compiles``.
+_KERNEL_SPLIT = ("engine.kernel.compiles", "engine.kernel.hits", "engine.kernel.verified")
+
+
+@pytest.fixture
+def compiles_by_pid(tmp_path, monkeypatch):
+    """Log the pid of every kernel compile, in the parent and in forked pool
+    workers alike (the patch is inherited through fork), and return a reader
+    ``() -> {pid: compiles}``."""
+    from repro.engine import compile as compile_module
+
+    log = tmp_path / "compiles.log"
+    compile_kernel = compile_module._compile_kernel
+
+    def logged_compile(*args, **kwargs):
+        with open(log, "a") as sink:  # one short O_APPEND write per compile
+            sink.write(f"{os.getpid()}\n")
+        return compile_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(compile_module, "_compile_kernel", logged_compile)
+
+    def read() -> dict:
+        counts: dict = {}
+        if log.exists():
+            for line in log.read_text().splitlines():
+                counts[int(line)] = counts.get(int(line), 0) + 1
+        log.unlink(missing_ok=True)
+        return counts
+
+    return read
+
+
 class TestCounterParity:
     #: Scopes whose totals are deterministic under parallel execution: every
     #: cell/sweep is counted once in whichever process performed the work,
     #: and the merge is commutative.  (``engine.gamma.`` is excluded — the
     #: per-process Γ caches make hit/miss splits fork-dependent; ``parallel.``
-    #: legitimately differs, the parallel run forks a pool.)
+    #: legitimately differs, the parallel run forks a pool.)  Within them the
+    #: kernel cache is per process too, and kernels whose plans depend on the
+    #: random databases a pair task's counterexample search draws are compiled
+    #: by whichever worker runs that task first, so its split is checked by
+    #: :meth:`_assert_kernel_parity` instead of equality.
     DETERMINISTIC = ("engine.kernel.", "engine.store.", "engine.dispatch.", "sweep.")
 
     @pytest.mark.parametrize("label", ["warehouse", "views", "audit"])
-    def test_serial_equals_merged_parallel(self, label, monkeypatch):
+    def test_serial_equals_merged_parallel(self, label, monkeypatch, compiles_by_pid):
         # Nested searches consult REPRO_WORKERS when callers pass None; pin
         # the environment so the "serial" leg is actually serial end to end.
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         catalog = _parity_catalogs()[label]
         _cold()
+        compiles_by_pid()
         serial_results = decide_pairs(catalog, workers=1, seed=11)
         serial = _merged_totals(REGISTRY.snapshot())
+        assert set(compiles_by_pid()) <= {os.getpid()}
         _cold()
         parallel_results = decide_pairs(catalog, workers=2, seed=11)
         merged = _merged_totals(REGISTRY.snapshot())
+        per_process = compiles_by_pid()
         _cold()
         assert {p: r.verdict for p, r in serial_results.items()} == {
             p: r.verdict for p, r in parallel_results.items()
         }
         for scope in self.DETERMINISTIC:
-            serial_scope = {k: v for k, v in serial.items() if k.startswith(scope)}
-            merged_scope = {k: v for k, v in merged.items() if k.startswith(scope)}
+            serial_scope = {
+                k: v for k, v in serial.items()
+                if k.startswith(scope) and k not in _KERNEL_SPLIT
+            }
+            merged_scope = {
+                k: v for k, v in merged.items()
+                if k.startswith(scope) and k not in _KERNEL_SPLIT
+            }
             assert serial_scope == merged_scope, scope
+        self._assert_kernel_parity(serial, merged, per_process)
         # One-shot decide_pairs may fork once per parallel phase (sweep
         # shards, then pair tasks), but the serial run must never fork.
         assert serial.get("parallel.pool.forks", 0) == 0
         assert merged.get("parallel.pool.forks", 0) >= 1
+
+    @staticmethod
+    def _assert_kernel_parity(serial: dict, merged: dict, per_process: dict) -> None:
+        """Serial and parallel runs make the same kernel lookups, the parallel
+        run compiles every kernel at least once somewhere, and no process
+        compiles more kernels than the serial run does."""
+        compiles, hits, verified = _KERNEL_SPLIT
+        assert serial.get(compiles, 0) + serial.get(hits, 0) == merged.get(
+            compiles, 0
+        ) + merged.get(hits, 0)
+        assert merged.get(compiles, 0) >= serial.get(compiles, 0)
+        # Verification runs once per compile, or never.
+        assert serial.get(verified, 0) in (0, serial.get(compiles, 0))
+        assert merged.get(verified, 0) in (0, merged.get(compiles, 0))
+        assert bool(serial.get(verified, 0)) == bool(merged.get(verified, 0))
+        # The log saw every process: its per-pid counts add up to the
+        # merged counter.
+        assert sum(per_process.values()) == merged.get(compiles, 0)
+        for pid, count in per_process.items():
+            assert count <= serial.get(compiles, 0), pid
 
     def test_audit_catalog_counts_sweep_work(self):
         catalog = _parity_catalogs()["audit"]

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Verdict,
@@ -13,6 +17,8 @@ from repro import (
     rewrite,
     unfold_query,
 )
+from repro.datalog.atoms import GroundAtom
+from repro.datalog.database import Database
 from repro.engine.evaluator import evaluate
 from repro.errors import RewritingError
 from repro.rewriting import (
@@ -77,6 +83,91 @@ class TestViews:
         views = ViewCatalog([View("v", parse_query("v(s) :- sales(s, p, a)"))])
         with pytest.raises(RewritingError):
             views.materialize(parse_database("v(1). sales(1, 1, 1)."))
+
+
+    def test_materialize_equals_the_union_database(self, views, scenario):
+        """Extending the base with the extents equals building the union
+        from scratch, on the seeded scenario and a random warehouse."""
+        for database in (scenario.database, random_warehouse_database(5)):
+            materialized = views.materialize(database)
+            extents = {
+                GroundAtom(view.name, row) for view in views for row in view.rows(database)
+            }
+            expected = Database(set(database.facts) | extents)
+            assert materialized == expected
+            assert materialized.to_relations() == expected.to_relations()
+            assert materialized.carrier() == expected.carrier()
+
+
+#: Values that normalize to one constant (``2`` / ``Fraction(2)`` / ``2.0``),
+#: plus a proper fraction, so coercion of added facts is exercised.
+_VALUES = st.sampled_from([0, 1, 2, Fraction(2), 2.0, Fraction(1, 3), -1])
+_FACTS = st.lists(
+    st.tuples(
+        st.sampled_from(["p", "q", "r"]),
+        st.lists(_VALUES, min_size=1, max_size=2).map(tuple),
+    ),
+    max_size=8,
+)
+
+
+def _normalized_arity(facts):
+    """Keep one arity per predicate (the first seen), as a relation has."""
+    arity: dict = {}
+    return [
+        (predicate, values)
+        for predicate, values in facts
+        if arity.setdefault(predicate, len(values)) == len(values)
+    ]
+
+
+class TestAddFacts:
+    @settings(max_examples=150, deadline=None)
+    @given(base=_FACTS, added=_FACTS)
+    def test_add_facts_equals_the_rebuilt_union(self, base, added):
+        facts = _normalized_arity(base + added)
+        base_facts, added_facts = facts[: len(base)], facts[len(base):]
+        database = Database(base_facts)
+        # Warm the receiver's lazy memos: the result must not inherit them.
+        database.sorted_carrier()
+        for predicate in database.predicates():
+            database.distinct_count(predicate, 0)
+            database.index(predicate, (0,))
+        extended = database.add_facts(added_facts + base_facts[:2])
+        expected = Database(set(database.facts) | set(Database(added_facts).facts))
+        assert extended.facts == expected.facts
+        assert extended == expected and hash(extended) == hash(expected)
+        assert extended.predicates() == expected.predicates()
+        assert extended.carrier() == expected.carrier()
+        assert extended.sorted_carrier() == expected.sorted_carrier()
+        assert extended.to_relations() == expected.to_relations()
+        for predicate in expected.predicates():
+            assert extended.relation(predicate) == expected.relation(predicate)
+            width = len(next(iter(expected.relation(predicate))))
+            for column in range(width):
+                assert extended.distinct_count(predicate, column) == expected.distinct_count(
+                    predicate, column
+                )
+                # Buckets list their rows in set-iteration order; compare sets.
+                assert {
+                    key: set(rows) for key, rows in extended.index(predicate, (column,)).items()
+                } == {
+                    key: set(rows) for key, rows in expected.index(predicate, (column,)).items()
+                }
+        # The receiver is unchanged.
+        assert database == Database(base_facts)
+
+    def test_adding_nothing_new_returns_an_equal_database(self):
+        database = Database([("p", (2,)), ("q", (1, 2))])
+        assert database.add_facts([]) == database
+        assert database.add_facts([("p", (Fraction(2),)), ("q", (1.0, 2))]) == database
+
+    def test_added_values_are_normalized(self):
+        extended = Database([("p", (1,))]).add_facts([("p", (Fraction(4, 2),)), ("q", (2.0,))])
+        assert extended.carrier() == {1, 2}
+        assert all(type(value) is int for value in extended.carrier())
+        assert extended.relation("p") == {(1,), (2,)}
+        assert extended.contains("q", (2,))
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +510,31 @@ class TestCostModel:
         assert estimated_cost(via_selective, database) < estimated_cost(
             via_skewed, database
         )
+
+    def test_supplied_extents_rank_like_materializing(self, scenario):
+        """``assemble_report(..., materialized=)`` ranks exactly as the
+        report that materializes the extents itself."""
+        from dataclasses import replace
+
+        from repro.rewriting import assemble_report
+
+        engine = RewritingEngine(scenario.views)
+        query = scenario.queries["total_revenue"]
+        candidates, rejected = engine.candidates(query)
+        verified = engine.verify(query, candidates, seed=1)
+        reports = [
+            assemble_report(
+                query, [replace(v) for v in verified], rejected, engine.views,
+                scenario.database, materialized,
+            )
+            for materialized in (None, scenario.views.materialize(scenario.database))
+        ]
+        rankings = [
+            ([v.candidate.name for v in r.safe], [v.estimated_cost for v in r.safe], r.direct_cost)
+            for r in reports
+        ]
+        assert rankings[0] == rankings[1]
+        assert rankings[0][2] is not None and all(c is not None for c in rankings[0][1])
 
     def test_view_probe_still_beats_fact_scan(self, scenario):
         """The new estimator preserves the PR 4 headline ordering: the best

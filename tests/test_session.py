@@ -20,6 +20,7 @@ import pytest
 
 from repro import Verdict, View, Workspace, parse_query
 from repro.core.bounded import SharedBaseContext
+from repro.datalog.database import Database
 from repro.engine import evaluate
 from repro.errors import QuerySyntaxError, ReproError, RewritingError
 from repro.workloads import build_view_scenario, build_warehouse, equivalence_matrix
@@ -371,6 +372,126 @@ def _echo_task(task):
 
 def _failing_task(task):
     raise RuntimeError(f"worker blew up on {task}")
+
+
+class TestSessionViewExtents:
+    """``Workspace.rewrite(q, database=D)`` materializes the view extents of
+    ``D`` once and reuses them until the views or the database change."""
+
+    @staticmethod
+    def _scenario_workspace(scenario) -> Workspace:
+        ws = Workspace(seed=3)
+        for view in scenario.views:
+            ws.register_view(view)
+        return ws
+
+    @staticmethod
+    def _counting_materialize(monkeypatch) -> list:
+        from repro.rewriting.views import ViewCatalog
+
+        calls: list = []
+        materialize = ViewCatalog.materialize
+
+        def counted(self, database):
+            calls.append(database)
+            return materialize(self, database)
+
+        monkeypatch.setattr(ViewCatalog, "materialize", counted)
+        return calls
+
+    @staticmethod
+    def _extent_counters() -> tuple[int, int]:
+        from repro.obs import REGISTRY
+
+        return REGISTRY.get("session.extents.hits"), REGISTRY.get("session.extents.misses")
+
+    @staticmethod
+    def _ranking(report) -> tuple:
+        return (
+            [v.candidate.name for v in report.safe],
+            [v.estimated_cost for v in report.safe],
+            report.direct_cost,
+        )
+
+    def test_six_rewrites_materialize_once(self, monkeypatch):
+        scenario = build_view_scenario(stores=3, products=4, sales_per_store=6, seed=9)
+        calls = self._counting_materialize(monkeypatch)
+        hits, misses = self._extent_counters()
+        queries = list(scenario.queries.values())
+        with self._scenario_workspace(scenario) as ws:
+            for position in range(6):
+                ws.rewrite(queries[position % len(queries)], database=scenario.database)
+            assert calls == [scenario.database]
+            assert self._extent_counters() == (hits + 5, misses + 1)
+            session = ws.stats().counters["session"]
+            assert session["extents.hits"] >= 5 and session["extents.misses"] >= 1
+            assert "extents.hits" in ws.stats().report()
+
+    def test_rankings_without_a_database_never_materialize(self, monkeypatch):
+        scenario = build_view_scenario(stores=3, products=4, sales_per_store=6, seed=9)
+        calls = self._counting_materialize(monkeypatch)
+        before = self._extent_counters()
+        with self._scenario_workspace(scenario) as ws:
+            report = ws.rewrite(scenario.queries["total_revenue"])
+            ws.rewrite(scenario.queries["total_revenue"])
+        assert calls == []
+        assert self._extent_counters() == before
+        assert report.direct_cost is None
+
+    def test_register_view_and_a_new_database_rebuild(self, monkeypatch):
+        scenario = build_view_scenario(stores=3, products=4, sales_per_store=6, seed=9)
+        other = build_view_scenario(stores=4, products=3, sales_per_store=5, seed=2)
+        calls = self._counting_materialize(monkeypatch)
+        query = scenario.queries["total_revenue"]
+        with self._scenario_workspace(scenario) as ws:
+            ws.rewrite(query, database=scenario.database)
+            ws.rewrite(query, database=scenario.database)
+            assert len(calls) == 1
+            ws.rewrite(query, database=other.database)
+            assert calls[-1] == other.database and len(calls) == 2
+            # One entry: going back to the first database rebuilds it.
+            ws.rewrite(query, database=scenario.database)
+            assert len(calls) == 3
+            ws.register_view(
+                View("sales_by_s", parse_query("v(s, sum(a)) :- sales(s, p, a)"))
+            )
+            report = ws.rewrite(query, database=scenario.database)
+            assert len(calls) == 4
+            assert "sales_by_s" in {
+                name for v in report.safe for name in v.candidate.view_names
+            }
+            # An equal database built separately hits the kept extents.
+            ws.rewrite(query, database=Database(scenario.database.facts))
+            assert len(calls) == 4
+
+    def test_reused_extents_rank_like_a_fresh_workspace(self):
+        scenario = build_view_scenario(stores=3, products=4, sales_per_store=6, seed=9)
+        other = build_view_scenario(stores=4, products=3, sales_per_store=5, seed=2)
+        plan = [
+            (name, database)
+            for database in (scenario.database, other.database, scenario.database)
+            for name in scenario.queries
+        ]
+        with self._scenario_workspace(scenario) as ws:
+            reports = [
+                ws.rewrite(scenario.queries[name], database=database)
+                for name, database in plan
+            ]
+            handed_out = [self._ranking(report) for report in reports]
+        for (name, database), report, ranking in zip(plan, reports, handed_out):
+            with self._scenario_workspace(scenario) as fresh:
+                expected = fresh.rewrite(scenario.queries[name], database=database)
+            assert self._ranking(expected) == ranking, name
+            # Later calls did not mutate a report already handed out.
+            assert self._ranking(report) == ranking, name
+
+    def test_close_drops_the_extents(self):
+        scenario = build_view_scenario(stores=3, products=4, sales_per_store=6, seed=9)
+        ws = self._scenario_workspace(scenario)
+        ws.rewrite(scenario.queries["total_revenue"], database=scenario.database)
+        assert ws._extents
+        ws.close()
+        assert not ws._extents
 
 
 class TestPersistentPool:
