@@ -66,6 +66,21 @@ class Condition:
         return cached
 
     @property
+    def predicate_arities(self) -> tuple[tuple[str, int], ...]:
+        """``(predicate, arity)`` per positive predicate, sorted by name —
+        the largest arity when atoms of one predicate disagree.  The planner
+        reads statistics for exactly these columns on every evaluation;
+        cache like the positive atoms."""
+        cached = self.__dict__.get("_cached_predicate_arities")
+        if cached is None:
+            arities: dict[str, int] = {}
+            for atom in self.positive_atoms:
+                arities[atom.predicate] = max(arities.get(atom.predicate, 0), atom.arity)
+            cached = tuple(sorted(arities.items()))
+            object.__setattr__(self, "_cached_predicate_arities", cached)
+        return cached
+
+    @property
     def negated_atoms(self) -> tuple[RelationalAtom, ...]:
         cached = self.__dict__.get("_cached_negated_atoms")
         if cached is None:

@@ -16,7 +16,9 @@ process-global mode of :mod:`repro.engine.modes` (``REPRO_ENGINE`` env var;
    filter (``CompareStep``) and negated-atom anti-join (``NegationStep``)
    placed at the earliest point all its variables are bound.  Plans depend
    only on the condition and the relations' size/distinct *statistics*, so
-   they are cached per ``(condition, statistics signature)``.
+   they are cached per ``(condition, statistics signature)``; the compiled
+   engine goes one step further and keeps plan, vector-or-loop decision and
+   kernel in one dispatch table per ``(condition, output terms, signature)``.
 
 2. **Execution** — three interchangeable back ends:
 
@@ -46,10 +48,11 @@ process-global mode of :mod:`repro.engine.modes` (``REPRO_ENGINE`` env var;
 
 3. **Memoization**.  ``Γ(q, D)`` (and its symbolic counterpart ``Γ(q, S_L)``)
    is cached per ``(query, database, engine)``; the compiled engine
-   additionally caches the columnar store per database and the kernel per
-   ``(plan, output terms)``.  ``clear_evaluation_caches`` /
-   ``clear_symbolic_caches`` reset the caches (benchmarks use them for
-   cold-cache timings; the kernel/store caches are dropped by the former).
+   additionally caches the columnar store per database, the kernel per
+   ``(plan, output terms)`` and the dispatch entry per key.
+   ``clear_evaluation_caches`` / ``clear_symbolic_caches`` reset the caches
+   (benchmarks use them for cold-cache timings; the plan, kernel, dispatch
+   and store caches are dropped by the former).
 """
 
 from .columnar import (

@@ -48,7 +48,15 @@ from ..caches import register_cache
 from ..datalog.terms import Constant, Term, Variable
 from ..errors import EvaluationError
 from ..obs import REGISTRY as _OBS
-from .planner import AtomStep, BindStep, CompareStep, NegationStep, Plan
+from .planner import (
+    AtomStep,
+    BindStep,
+    CompareStep,
+    NegationStep,
+    Plan,
+    Signature,
+    statistics_signature,
+)
 
 try:  # pragma: no cover - exercised via both CI legs
     import numpy as _numpy
@@ -102,8 +110,7 @@ class ColumnarStore:
         "_packed",
         "_bounds",
         "_decode_ids",
-        "_distincts",
-        "_sizes",
+        "_signatures",
     )
 
     def __init__(self, database):  # noqa: ANN001 - Database | SymbolicDatabase
@@ -144,14 +151,13 @@ class ColumnarStore:
         self._packed: dict[tuple[str, int], object] = {}
         self._bounds: dict[Constant, tuple[int, int, int]] = {}
         self._decode_ids: dict[Constant, int] = {}
-        self._distincts: dict[tuple[str, int], int] = {}
-        self._sizes = {predicate: len(rows) for predicate, rows in rows_all.items()}
+        self._signatures: dict[tuple[tuple[str, int], ...], Signature] = {}
 
     # ------------------------------------------------------------------
     # Relation access (id space)
     # ------------------------------------------------------------------
     def size(self, predicate: str) -> int:
-        return self._sizes.get(predicate, 0)
+        return len(self._rows_all.get(predicate, ()))
 
     def rows(self, predicate: str, arity: int) -> tuple[tuple[int, ...], ...]:
         """The id rows of the relation that can match an ``arity``-ary atom."""
@@ -196,13 +202,20 @@ class ColumnarStore:
         return cached
 
     def distinct(self, predicate: str, column: int) -> int:
-        """Distinct ids in one column — the planner's selectivity statistic."""
-        key = (predicate, column)
-        cached = self._distincts.get(key)
+        """Distinct ids in one column — the planner's selectivity statistic.
+        Not memoized: the planner reads it through :meth:`signature`."""
+        rows = self._rows_all.get(predicate, ())
+        return len({row[column] for row in rows if column < len(row)})
+
+    def signature(self, arities: tuple[tuple[str, int], ...]) -> Signature:
+        """The planner's :func:`~repro.engine.planner.statistics_signature`
+        of this store for a condition's ``predicate_arities``, built once per
+        store and arities, so the compiled engine's dispatch key costs one
+        dict probe per evaluation."""
+        cached = self._signatures.get(arities)
         if cached is None:
-            rows = self._rows_all.get(predicate, ())
-            cached = len({row[column] for row in rows if column < len(row)})
-            self._distincts[key] = cached
+            cached = statistics_signature(arities, self.size, self.distinct)
+            self._signatures[arities] = cached
         return cached
 
     # ------------------------------------------------------------------

@@ -27,6 +27,20 @@ the plan is ever executed over; kernels are cached by
 plan's size-statistics signature, so databases that merely differ in relation
 sizes share the kernel too.
 
+Every evaluation reaches its kernel through :func:`dispatch` and one
+module-level table keyed by ``(condition, output_terms, statistics
+signature, NumPy present, vector threshold)``.  An entry holds the plan, the
+vector-or-loop decision and the loop kernel, each a pure function of its
+key: the plan depends on the condition and the statistics signature only
+(the same tuple the planner caches on, built once per store by
+:meth:`~repro.engine.columnar.ColumnarStore.signature`), the vector decision
+on the plan's relation sizes — part of the signature — and the two knobs a
+store reads at build time, and the kernel on the plan and the output terms.
+So ``plan_condition``, ``vector_candidate`` and :func:`get_kernel` run on a
+table miss only; a sweep's thousands of evaluations cost one dict probe
+each.  The kernel cache stays keyed without the statistics, so entries that
+differ only in sizes still share one compiled kernel.
+
 The drivers at the bottom are the compiled engine's entry points, mirroring
 the public evaluation API: concrete set / bag-set / aggregate evaluation and
 Γ(q, D), plus the symbolic Γ / groups / answer-multiset triple.  They decode
@@ -41,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from ..caches import register_cache
 from ..datalog.atoms import ComparisonOp
@@ -51,7 +65,15 @@ from ..datalog.terms import Constant, Term, Variable
 from ..errors import EvaluationError
 from ..obs import REGISTRY as _OBS
 from ..obs import span as _span
-from .planner import AtomStep, BindStep, CompareStep, NegationStep, Plan, plan_condition
+from .planner import (
+    AtomStep,
+    BindStep,
+    CompareStep,
+    NegationStep,
+    Plan,
+    Signature,
+    plan_condition,
+)
 from .columnar import ColumnarStore, execute_plan_vector, store_for
 
 #: Python source operators per comparison op (``EQ.symbol`` is ``"="``, which
@@ -286,9 +308,11 @@ def get_kernel(plan: Plan, output_terms: tuple[Term, ...]) -> Callable:
 
 
 def clear_kernel_cache() -> None:
-    """Drop every compiled kernel and reset the compile/hit (and, under
+    """Drop every compiled kernel — and the dispatch table, whose entries
+    hold them — and reset the compile/hit (and, under
     ``REPRO_VERIFY_KERNELS``, verified) counters."""
     _KERNEL_CACHE.clear()
+    _DISPATCH.clear()
     _OBS.reset("engine.kernel.")
 
 
@@ -308,6 +332,48 @@ def kernel_cache_stats() -> dict[str, int]:
 
 
 # ----------------------------------------------------------------------
+# The dispatch table
+# ----------------------------------------------------------------------
+#: ``(condition, output_terms, statistics signature, NumPy present, vector
+#: threshold) -> (plan, vectorize, kernel)``; ``kernel`` is ``None`` for
+#: vector entries, whose rare fallbacks fetch it through :func:`get_kernel`.
+_DISPATCH: dict = {}
+_DISPATCH_LIMIT = 4096
+register_cache("engine/compile.py:_DISPATCH", "clear_evaluation_caches", _DISPATCH.clear)
+
+
+def dispatch(
+    condition: Condition, store: ColumnarStore, output_terms: tuple[Term, ...]
+) -> tuple[Plan, bool, Optional[Callable]]:
+    """The ``(plan, vectorize, kernel)`` of one evaluation of ``condition``
+    over ``store``, from the dispatch table.
+
+    Planning, the vector-or-loop decision and the kernel lookup are functions
+    of the dispatch key alone, so they run once per key.  A hit still counts
+    as a plan hit and, for a loop entry, a kernel hit, keeping
+    ``engine.plan.builds + hits`` one per evaluation and
+    ``engine.kernel.compiles + hits`` equal to ``engine.dispatch.loop``."""
+    signature = store.signature(condition.predicate_arities)
+    key = (condition, output_terms, signature, store.numpy is not None, store.threshold)
+    entry = _DISPATCH.get(key)
+    if entry is not None:
+        _OBS.inc("engine.plan.hits")
+        if entry[2] is not None:
+            _OBS.inc("engine.kernel.hits")
+        return entry
+    plan = plan_condition(condition, store.size, store.distinct, signature=signature)
+    if store.vector_candidate(plan):
+        entry = (plan, True, None)
+    else:
+        entry = (plan, False, get_kernel(plan, output_terms))
+    if len(_DISPATCH) >= _DISPATCH_LIMIT:
+        for stale in list(itertools.islice(iter(_DISPATCH), _DISPATCH_LIMIT // 4)):
+            del _DISPATCH[stale]
+    _DISPATCH[key] = entry
+    return entry
+
+
+# ----------------------------------------------------------------------
 # Shared row production
 # ----------------------------------------------------------------------
 def condition_rows(
@@ -316,16 +382,17 @@ def condition_rows(
     """All id rows (one per satisfying assignment, projected onto
     ``output_terms``) of one condition over one store, via the vectorized
     executor when profitable, the compiled loop kernel otherwise."""
-    plan = plan_condition(condition, store.size, store.distinct)
-    if store.vector_candidate(plan):
+    plan, vectorize, kernel = dispatch(condition, store, output_terms)
+    if vectorize:
         rows = execute_plan_vector(plan, store, output_terms)
         if rows is not None:
             _OBS.inc("engine.dispatch.vector")
             return rows
         _OBS.inc("engine.dispatch.vector_fallback")
+        kernel = get_kernel(plan, output_terms)
     _OBS.inc("engine.dispatch.loop")
     with _span("kernel.execute"):
-        return get_kernel(plan, output_terms)(store)
+        return kernel(store)
 
 
 def _decoded_rows(

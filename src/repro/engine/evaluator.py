@@ -121,8 +121,8 @@ def _satisfying_assignments_cached(
 
 def clear_evaluation_caches() -> None:
     """Drop every concrete evaluation cache: the memoized Γ(q, D) results,
-    the compiled kernels, the columnar stores, and the parallel worker's
-    run-setup memo (used for cold-cache benchmarks and by tests that must
+    the plans, the compiled kernels, the dispatch table, the columnar
+    stores, and the parallel worker's run-setup memo (used for cold-cache benchmarks and by tests that must
     observe re-compilation).
 
     The kernel/store/setup-memo drops run through the cache registry
@@ -133,7 +133,8 @@ def clear_evaluation_caches() -> None:
     Reset semantics for the metrics registry (pinned by the observability
     regression tests): the counters that describe these caches reset with
     them — ``engine.kernel.*`` via ``clear_kernel_cache``, ``engine.store.*``
-    via ``clear_store_cache``, ``parallel.setup.*`` via ``clear_setup_memo``,
+    via ``clear_store_cache``, ``engine.plan.*`` via ``clear_plan_cache``,
+    ``parallel.setup.*`` via ``clear_setup_memo``,
     plus the vector-vs-loop ``engine.dispatch.*`` tallies here.  Everything
     else survives: the shared-Γ counters (``engine.gamma.*``, owned by
     ``clear_symbolic_caches``), and the ``sweep.``/``parallel.pool.``/

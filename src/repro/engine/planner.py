@@ -38,18 +38,29 @@ reproducing the original size-only tie-break exactly.
 
 Plans depend on the condition and, through the tie-breaking rule, on the
 relations' size/distinct *statistics* only — never on their contents — so
-they are cached per ``(condition, statistics signature)`` pair.
+they are cached per ``(condition, statistics signature)`` pair.  The
+signature (:func:`statistics_signature`) reads exactly the columns of the
+condition's positive predicates (``Condition.predicate_arities``, memoized on
+the condition).  A caller that already holds it — the columnar stores build
+it once per store and condition shape, and the compiled engine's dispatch
+table keys on it — passes it in prebuilt, and the planner reads no
+statistics at all.  Builds and hits are mirrored into the metrics registry
+as ``engine.plan.builds`` / ``engine.plan.hits``; the compiled engine counts
+its dispatch-table hits as plan hits too, so the two add up to one per
+planned evaluation.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
+from ..caches import register_cache
 from ..datalog.atoms import Comparison, RelationalAtom
 from ..datalog.conditions import Condition
 from ..datalog.terms import Constant, Term, Variable
+from ..obs import REGISTRY as _OBS
 
 
 @dataclass(frozen=True)
@@ -102,10 +113,42 @@ class Plan:
     resolvable: bool = True
 
 
+_PLAN_CACHE: dict = {}
+_PLAN_CACHE_LIMIT = 4096
+
+#: The planner's statistics signature: ``(predicate, rows, distinct counts
+#: per column or None)`` per positive predicate, sorted by predicate.
+Signature = tuple[tuple[str, int, Optional[tuple[int, ...]]], ...]
+
+
+def statistics_signature(
+    arities: tuple[tuple[str, int], ...],
+    relation_size: Callable[[str], int],
+    distinct_count: Optional[Callable[[str, int], int]] = None,
+) -> Signature:
+    """The statistics a plan over the predicates ``arities`` (a condition's
+    :attr:`~repro.datalog.conditions.Condition.predicate_arities`) depends
+    on — the plan cache's key besides the condition.  The columnar stores
+    memoize it per store through this same function, so the compiled
+    engine's dispatch key and the plan cache key cannot diverge."""
+    return tuple(
+        (
+            predicate,
+            relation_size(predicate),
+            tuple(distinct_count(predicate, column) for column in range(arity))
+            if distinct_count is not None
+            else None,
+        )
+        for predicate, arity in arities
+    )
+
+
 def plan_condition(
     condition: Condition,
     relation_size: Callable[[str], int],
     distinct_count: Optional[Callable[[str, int], int]] = None,
+    *,
+    signature: Optional[Signature] = None,
 ) -> Plan:
     """Compute (or fetch from cache) the execution plan for ``condition``.
 
@@ -115,30 +158,28 @@ def plan_condition(
     tie-breaking between equally-bound atoms: with distinct counts the
     planner estimates the probe result size as ``rows / distinct`` of the
     most selective bound column, without them it falls back to the raw size.
+    A caller that already holds the :func:`statistics_signature` of the two
+    passes it as ``signature`` and the statistics are not read again.
     """
-    arities: dict[str, int] = {}
-    for atom in condition.positive_atoms:
-        arities[atom.predicate] = max(arities.get(atom.predicate, 0), atom.arity)
-    signature = tuple(
-        sorted(
-            (
-                predicate,
-                relation_size(predicate),
-                tuple(distinct_count(predicate, column) for column in range(arities[predicate]))
-                if distinct_count is not None
-                else None,
-            )
-            for predicate in condition.positive_predicates()
+    if signature is None:
+        signature = statistics_signature(
+            condition.predicate_arities, relation_size, distinct_count
         )
-    )
-    return _plan_condition_cached(condition, signature)
+    key = (condition, signature)
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        _OBS.inc("engine.plan.builds")
+        plan = _build_plan(condition, signature)
+        if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
+            for stale in list(itertools.islice(iter(_PLAN_CACHE), _PLAN_CACHE_LIMIT // 4)):
+                del _PLAN_CACHE[stale]
+        _PLAN_CACHE[key] = plan
+    else:
+        _OBS.inc("engine.plan.hits")
+    return plan
 
 
-@lru_cache(maxsize=4096)
-def _plan_condition_cached(
-    condition: Condition,
-    stats_signature: tuple[tuple[str, int, Optional[tuple[int, ...]]], ...],
-) -> Plan:
+def _build_plan(condition: Condition, stats_signature: Signature) -> Plan:
     sizes = {predicate: size for predicate, size, _distincts in stats_signature}
     distincts = {predicate: entry for predicate, _size, entry in stats_signature}
     steps: list[Step] = []
@@ -235,18 +276,27 @@ def _plan_condition_cached(
 
 
 def clear_plan_cache() -> None:
-    """Drop all cached plans (used by benchmarks for cold-cache timings)."""
-    _plan_condition_cached.cache_clear()
+    """Drop all cached plans and reset the ``engine.plan.*`` counters (used by
+    benchmarks for cold-cache timings)."""
+    _PLAN_CACHE.clear()
+    _OBS.reset("engine.plan.")
+
+
+register_cache("engine/planner.py:_PLAN_CACHE", "clear_evaluation_caches", clear_plan_cache)
 
 
 def plan_cache_stats() -> dict[str, int]:
     """``{"entries", "builds", "hits"}`` for the plan cache.
 
-    Read straight off ``lru_cache.cache_info()`` — ``plan_condition`` sits on
-    the warm compiled path, so unlike the kernel/store caches these counters
-    are not mirrored into the metrics registry per call; the registry's
-    hierarchical report samples this view instead (``clear_plan_cache`` resets
-    it along with the cache, matching the other engine-scope counters).
+    The counters live in the metrics registry (``engine.plan.*``), like the
+    kernel cache's.  ``hits`` counts every evaluation that reused a plan,
+    including the compiled engine's dispatch-table hits, which never call
+    :func:`plan_condition`: ``builds + hits`` is one per planned evaluation,
+    so it totals the same serially and under ``workers=N`` even though the
+    split between the two is per process.
     """
-    info = _plan_condition_cached.cache_info()
-    return {"entries": info.currsize, "builds": info.misses, "hits": info.hits}
+    return {
+        "entries": len(_PLAN_CACHE),
+        "builds": _OBS.get("engine.plan.builds"),
+        "hits": _OBS.get("engine.plan.hits"),
+    }

@@ -14,7 +14,7 @@ the *scope* that owns the counter's reset semantics:
   resets ``engine.store.*``, ``clear_plan_cache`` resets ``engine.plan.*``,
   ``clear_symbolic_caches`` resets ``engine.gamma.*``, and
   ``clear_evaluation_caches`` resets the whole evaluation slice it drops
-  (kernel + store + dispatch).
+  (kernel + store + plan + dispatch).
 * ``sweep.`` — decision-procedure counters (subsets examined / skipped by
   symmetry, ordering classes examined, identities checked).  Never reset by
   the cache clears; they describe *work performed*, not cache state.

@@ -33,6 +33,7 @@ from ..datalog.queries import Query
 from ..datalog.terms import Constant
 from ..domains import Domain
 from ..errors import RewritingError, SearchSpaceBudgetError
+from ..obs import REGISTRY as _OBS
 from ..obs import span as _span
 from ..parallel.executor import Executor
 from ..parallel.tasks import PairOutcome, run_pair_task
@@ -203,6 +204,9 @@ class RewritingEngine:
         self.normalize = normalize
         self.shared_base = shared_base
         self.sweep = sweep
+        # The view extents of the last ranking database, as
+        # {database: views.materialize(database)} with at most one entry.
+        self._extents: dict[Database, Database] = {}
 
     # ------------------------------------------------------------------
     # Candidate synthesis
@@ -302,6 +306,25 @@ class RewritingEngine:
         return verified
 
     # ------------------------------------------------------------------
+    # Ranking
+    # ------------------------------------------------------------------
+    def extents(self, database: Database) -> Database:
+        """``views.materialize(database)``, kept for the last database asked
+        for (one entry, keyed by the database's value): repeated rankings
+        against one database materialize once, and a different database
+        replaces the entry.  ``session.extents.hits`` / ``.misses`` record
+        the reuse."""
+        materialized = self._extents.get(database)
+        if materialized is None:
+            _OBS.inc("session.extents.misses")
+            materialized = self.views.materialize(database)
+            self._extents.clear()
+            self._extents[database] = materialized
+        else:
+            _OBS.inc("session.extents.hits")
+        return materialized
+
+    # ------------------------------------------------------------------
     # The full pipeline
     # ------------------------------------------------------------------
     def rewrite(
@@ -325,7 +348,8 @@ class RewritingEngine:
         verified = self.verify(
             query, candidates, workers=workers, executor=executor, seed=seed
         )
-        return assemble_report(query, verified, rejected, self.views, database)
+        materialized = None if database is None else self.extents(database)
+        return assemble_report(query, verified, rejected, self.views, database, materialized)
 
 
 def assemble_report(
@@ -344,9 +368,9 @@ def assemble_report(
     (:meth:`repro.session.Workspace.rewrite`) can cache the expensive
     verification outcomes and re-assemble reports per call (the ranking
     depends on the database; the verdicts do not).  ``materialized`` is
-    ``views.materialize(database)`` when the caller already holds it (the
-    session keeps the extents of its last ranking database); ``None``
-    materializes them here.
+    ``views.materialize(database)`` when the caller already holds it
+    (:meth:`RewritingEngine.extents` keeps the extents of its last ranking
+    database); ``None`` materializes them here.
     """
     report = RewritingReport(query=query, rejected=list(rejected))
     for outcome in verified:

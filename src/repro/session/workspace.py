@@ -103,12 +103,12 @@ class WorkspaceStats:
 
     Beyond the session-layer reuse counters, ``counters`` carries the
     process-wide metrics registry (:data:`repro.obs.REGISTRY`) grouped by
-    scope — ``engine`` (kernel/store/Γ/dispatch), ``sweep`` (enumeration
-    effort), ``parallel`` (pool lifecycle), ``session`` (verdict-cache,
-    store and view-extent reuse) and ``worker`` (deltas shipped back from
-    pool workers and merged by the parent) — and ``plan_cache``
-    the planner's LRU statistics.  :meth:`report` renders the whole thing
-    as an indented hierarchy.
+    scope — ``engine`` (kernel/store/plan/Γ/dispatch), ``sweep``
+    (enumeration effort), ``parallel`` (pool lifecycle), ``session``
+    (verdict-cache, store and view-extent reuse) and ``worker`` (deltas
+    shipped back from pool workers and merged by the parent) — and
+    ``plan_cache`` the plan cache's entries, builds and hits.
+    :meth:`report` renders the whole thing as an indented hierarchy.
     """
 
     queries: int
@@ -225,9 +225,6 @@ class Workspace:
             tuple[Query, int],
             tuple[list[VerifiedRewriting], list[RejectedCandidate]],
         ] = {}
-        # The view extents of the last ranking database, as
-        # {database: views.materialize(database)} with at most one entry.
-        self._extents: dict[Database, Database] = {}
         self._decided_cells = 0
         self._verdict_cache_hits = 0
         self._store_hits = 0
@@ -256,7 +253,6 @@ class Workspace:
         self._closed = True
         self._verdict_cache.clear()
         self._rewrite_cache.clear()
-        self._extents.clear()
         self._engine = None
         self._context = None
         if self._owns_executor and self._executor is not None:
@@ -430,7 +426,6 @@ class Workspace:
         # work — untouched.
         self._engine = None
         self._rewrite_cache.clear()
-        self._extents.clear()
         return registered
 
     def _adopt_datalog_view(self, view: View, columns: Optional[Sequence[str]]) -> View:
@@ -657,13 +652,13 @@ class Workspace:
         ranking ``database``) skip straight to report assembly.
 
         Ranking against ``database`` needs the view extents materialized
-        over it.  The session keeps the extents of the last ranking
-        database (one entry, keyed by the database's value), so repeated
+        over it.  The session's rewriting engine keeps the extents of the
+        last ranking database (:meth:`RewritingEngine.extents`), so repeated
         calls against the same ``database`` materialize once; a call with
         a different database replaces them, and :meth:`register_view` and
-        :meth:`close` drop them.  ``database=None`` never materializes.
-        The ``session.extents.hits`` / ``.misses`` counters record the
-        reuse.
+        :meth:`close`, which drop the engine, drop them too.
+        ``database=None`` never materializes.  The ``session.extents.hits``
+        / ``.misses`` counters record the reuse.
         """
         self._require_open()
         parsed = self._coerce_query(query, None)
@@ -691,16 +686,7 @@ class Workspace:
         else:
             self._rewrite_cache_hits += 1
         verified, rejected = cached
-        materialized: Optional[Database] = None
-        if database is not None:
-            materialized = self._extents.get(database)
-            if materialized is None:
-                _OBS.inc("session.extents.misses")
-                materialized = engine.views.materialize(database)
-                self._extents.clear()
-                self._extents[database] = materialized
-            else:
-                _OBS.inc("session.extents.hits")
+        materialized = None if database is None else engine.extents(database)
         # Each report gets its own VerifiedRewriting wrappers: assemble_report
         # fills estimated_cost in place, and a later call with a different
         # ranking database must not rewrite the costs inside reports already

@@ -14,11 +14,13 @@ of ``clear_evaluation_caches``.
 
 from __future__ import annotations
 
+import zlib
 from collections import Counter
 
 import pytest
 
 from repro import Domain
+from repro.datalog.database import Database
 from repro.engine import (
     clear_evaluation_caches,
     clear_symbolic_caches,
@@ -257,3 +259,187 @@ def test_task_builders_capture_active_engine():
             )
         assert tasks, mode
         assert all(task.engine == mode for task in tasks)
+
+
+# ----------------------------------------------------------------------
+# The dispatch table: one (condition, statistics) -> (plan, kernel) lookup
+# ----------------------------------------------------------------------
+def _symbolic_databases(count: int) -> tuple[list, tuple]:
+    """``count`` seeded random ``S_L`` over the BASE of a small negation
+    pair, and the pair."""
+    import random
+
+    from repro.core.bounded import build_base
+    from repro.datalog import parse_query
+    from repro.engine import SymbolicDatabase
+    from repro.orderings.complete_orderings import enumerate_complete_orderings
+
+    first = parse_query("q(s, count()) :- returns(s, p), premium(s), not gone(p)")
+    second = parse_query("q(s, count()) :- returns(s, p), gone(p), s < 3")
+    terms, base, _fresh = build_base(first, second, 2)
+    orderings = list(enumerate_complete_orderings(terms, Domain.RATIONALS))
+    rng = random.Random(zlib.crc32(b"dispatch-table"))
+    return [
+        SymbolicDatabase(
+            frozenset(atom for atom in base if rng.random() < 0.5), rng.choice(orderings)
+        )
+        for _ in range(count)
+    ], (first, second)
+
+
+def _dispatch_cases():
+    """``(condition, database, output_terms)`` over random warehouse
+    databases and random symbolic ``S_L``."""
+    warehouse = build_warehouse(stores=3, products=4, sales_per_store=6, seed=7)
+    for seed in range(6):
+        database = random_warehouse_database(seed)
+        for _name, query in sorted(warehouse.queries.items()):
+            for disjunct in query.disjuncts:
+                yield disjunct, database, tuple(query.head_terms)
+    databases, queries = _symbolic_databases(24)
+    for database in databases:
+        for query in queries:
+            for disjunct in query.disjuncts:
+                yield disjunct, database, tuple(query.head_terms)
+
+
+def test_dispatched_plan_equals_direct_plan():
+    """The table serves exactly the plan ``plan_condition`` computes from the
+    store's statistics, and the loop kernel ``get_kernel`` compiles for it."""
+    from repro.engine import get_kernel, plan_condition, store_for
+    from repro.engine.compile import dispatch
+
+    _clean()
+    checked = Counter()
+    for condition, database, output_terms in _dispatch_cases():
+        store = store_for(database)
+        for _ in range(2):  # the miss, then the hit
+            plan, vectorize, kernel = dispatch(condition, store, output_terms)
+            assert plan == plan_condition(condition, store.size, store.distinct)
+            assert vectorize == store.vector_candidate(plan)
+            if vectorize:
+                assert kernel is None
+            else:
+                assert kernel is get_kernel(plan, output_terms)
+        checked[store.symbolic] += 1
+    assert checked[False] >= 40 and checked[True] >= 40
+    _clean()
+
+
+def test_stores_with_different_statistics_get_their_own_plan_and_kernel():
+    from repro.datalog import parse_query
+    from repro.engine import store_for
+    from repro.engine.compile import _DISPATCH, dispatch
+
+    condition = parse_query("q(x, y) :- p(x, z), r(z, y)").disjuncts[0]
+    output_terms = tuple(parse_query("q(x, y) :- p(x, z), r(z, y)").head_terms)
+    big_p = Database([("p", (i, i)) for i in range(9)] + [("r", (1, 2))])
+    big_r = Database([("p", (1, 2))] + [("r", (i, i)) for i in range(9)])
+    # Same statistics as big_p, different contents.
+    big_p_again = Database([("p", (i, i + 1)) for i in range(9)] + [("r", (5, 6))])
+
+    _clean()
+    first = dispatch(condition, store_for(big_p), output_terms)
+    second = dispatch(condition, store_for(big_r), output_terms)
+    assert len(_DISPATCH) == 2
+    first_atoms = [s.atom.predicate for s in first[0].steps if hasattr(s, "bound_columns")]
+    second_atoms = [s.atom.predicate for s in second[0].steps if hasattr(s, "bound_columns")]
+    assert first_atoms == ["r", "p"] and second_atoms == ["p", "r"]
+    assert first[2] is not second[2]
+    assert dispatch(condition, store_for(big_p_again), output_terms) is first
+    assert len(_DISPATCH) == 2
+    _clean()
+
+
+def test_dispatch_counters_keep_their_meaning():
+    """Every loop evaluation is one kernel compile or hit, every evaluation
+    one plan build or hit — table hits included."""
+    from repro.obs import REGISTRY
+
+    from repro.engine.compile import compiled_satisfying_assignments, compiled_symbolic_groups
+
+    _clean()
+    warehouse = build_warehouse(stores=3, products=4, sales_per_store=6, seed=7)
+    databases, queries = _symbolic_databases(12)
+    for _ in range(2):  # the compiled_* entry points are not memoized: every call dispatches
+        for query in warehouse.queries.values():
+            compiled_satisfying_assignments(query, warehouse.database)
+        for database in databases:
+            for query in queries:
+                compiled_symbolic_groups(query, database)
+    loop = REGISTRY.get("engine.dispatch.loop")
+    vector = REGISTRY.get("engine.dispatch.vector")
+    kernel_lookups = REGISTRY.get("engine.kernel.compiles") + REGISTRY.get("engine.kernel.hits")
+    plan_lookups = REGISTRY.get("engine.plan.builds") + REGISTRY.get("engine.plan.hits")
+    assert loop > 0
+    assert kernel_lookups == loop
+    assert plan_lookups == loop + vector
+    assert REGISTRY.get("engine.plan.builds") < plan_lookups
+    _clean()
+
+
+def test_clear_evaluation_caches_empties_the_dispatch_table():
+    """Leak check: a repeated workload stops growing the table, and
+    ``clear_evaluation_caches`` empties it along with the plan counters."""
+    from repro.engine import plan_cache_stats
+    from repro.engine.compile import _DISPATCH, compiled_satisfying_assignments
+
+    warehouse = build_warehouse(stores=3, products=4, sales_per_store=6, seed=7)
+    _clean()
+    for query in warehouse.queries.values():
+        compiled_satisfying_assignments(query, warehouse.database)
+    entries = len(_DISPATCH)
+    builds = plan_cache_stats()["builds"]
+    for query in warehouse.queries.values():
+        compiled_satisfying_assignments(query, Database(warehouse.database.facts))
+    assert entries > 0
+    assert len(_DISPATCH) == entries
+    assert plan_cache_stats()["builds"] == builds
+    assert plan_cache_stats()["hits"] >= entries
+    clear_evaluation_caches()
+    assert len(_DISPATCH) == 0
+    assert plan_cache_stats() == {"entries": 0, "builds": 0, "hits": 0}
+
+
+@pytest.mark.skipif(numpy_module() is None, reason="NumPy unavailable")
+def test_backend_switches_never_reuse_a_stale_vector_decision(monkeypatch):
+    """The NumPy presence and the vector threshold a store read at build time
+    are part of the dispatch key: rebuilding the stores under other settings
+    (without clearing the table) must re-decide vector versus loop."""
+    from repro.engine import clear_store_cache, store_for
+    from repro.engine.compile import dispatch
+
+    warehouse = build_warehouse(stores=3, products=4, sales_per_store=6, seed=7)
+    cases = [
+        (disjunct, tuple(query.head_terms))
+        for _name, query in sorted(warehouse.queries.items())
+        for disjunct in query.disjuncts
+    ]
+
+    def decisions() -> list[bool]:
+        clear_store_cache()  # the table survives; only the stores rebuild
+        store = store_for(warehouse.database)
+        return [dispatch(c, store, terms)[1] for c, terms in cases]
+
+    _clean()
+    try:
+        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "0")
+        assert all(decisions())
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        assert not any(decisions())
+        monkeypatch.delenv("REPRO_NO_NUMPY")
+        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", str(10**9))
+        assert not any(decisions())
+        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "0")
+        assert all(decisions())
+        # Results agree with the naive oracle under every setting.
+        for setting in ("0", str(10**9)):
+            monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", setting)
+            clear_store_cache()
+            for query in warehouse.queries.values():
+                assert _evaluate_under("naive", query, warehouse.database) == _evaluate_under(
+                    "compiled", query, warehouse.database
+                )
+    finally:
+        monkeypatch.undo()
+        _clean()

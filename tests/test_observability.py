@@ -10,7 +10,8 @@ Four contracts are load-bearing:
   lookups compile depends on which worker ran which task.
 * **Reset semantics** — cache clears reset exactly the registry scopes that
   describe the dropped caches (``engine.kernel.`` / ``engine.store.`` /
-  ``engine.dispatch.`` for :func:`clear_evaluation_caches`, ``engine.gamma.``
+  ``engine.plan.`` / ``engine.dispatch.`` for :func:`clear_evaluation_caches`,
+  ``engine.gamma.``
   for :func:`clear_symbolic_caches`); work-performed scopes (``sweep.``,
   ``parallel.``, ``worker.``) survive every clear.
 * **Trace schema** — ``REPRO_TRACE`` JSONL validates: well-formed events,
@@ -210,6 +211,9 @@ class TestResetSemantics:
 #: ``engine.kernel.verified`` counts the compiles ``REPRO_VERIFY_KERNELS``
 #: verifies, so it follows ``compiles``.
 _KERNEL_SPLIT = ("engine.kernel.compiles", "engine.kernel.hits", "engine.kernel.verified")
+#: Plan-cache counters: per process like the kernel split, so only their
+#: total is compared.
+_PLAN_SPLIT = ("engine.plan.builds", "engine.plan.hits")
 
 
 @pytest.fixture
@@ -282,6 +286,12 @@ class TestCounterParity:
             }
             assert serial_scope == merged_scope, scope
         self._assert_kernel_parity(serial, merged, per_process)
+        # Plan lookups are one per evaluation, dispatch-table hits included;
+        # only their build/hit split depends on which process planned first.
+        assert serial.get("engine.plan.builds", 0) > 0
+        assert sum(serial.get(name, 0) for name in _PLAN_SPLIT) == sum(
+            merged.get(name, 0) for name in _PLAN_SPLIT
+        )
         # One-shot decide_pairs may fork once per parallel phase (sweep
         # shards, then pair tasks), but the serial run must never fork.
         assert serial.get("parallel.pool.forks", 0) == 0

@@ -13,11 +13,14 @@ from repro.engine import (
     BindStep,
     CompareStep,
     NegationStep,
+    clear_plan_cache,
     evaluate_set,
     naive_satisfying_assignments,
+    plan_cache_stats,
     plan_condition,
     satisfying_assignments,
 )
+from repro.engine.planner import statistics_signature
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
@@ -182,3 +185,62 @@ class TestDatabaseIndex:
     def test_index_is_cached(self):
         database = Database([("p", (1, 2))])
         assert database.index("p", (1,)) is database.index("p", (1,))
+
+
+class TestStatisticsSignature:
+    """The plan cache key: one statistics signature, read once per store."""
+
+    CONDITION = parse_query("q(x, y) :- r(x, y), p(x), r(y, z), not s(z)").disjuncts[0]
+
+    def test_predicate_arities_are_sorted_and_memoized(self):
+        condition = parse_query("q(x) :- r(x, y), p(x), not s(x, y, y)").disjuncts[0]
+        assert condition.predicate_arities == (("p", 1), ("r", 2))
+        assert condition.predicate_arities is condition.predicate_arities
+
+    def test_prebuilt_signature_skips_the_statistics(self):
+        sizes = {"p": 3, "r": 40}
+        distincts = {"p": (3,), "r": (20, 5)}
+        signature = statistics_signature(
+            self.CONDITION.predicate_arities,
+            lambda predicate: sizes[predicate],
+            lambda predicate, column: distincts[predicate][column],
+        )
+        assert signature == (("p", 3, (3,)), ("r", 40, (20, 5)))
+
+        def unread(*_args):
+            raise AssertionError("statistics read despite a prebuilt signature")
+
+        direct = plan_condition(
+            self.CONDITION,
+            lambda predicate: sizes[predicate],
+            lambda predicate, column: distincts[predicate][column],
+        )
+        assert plan_condition(self.CONDITION, unread, unread, signature=signature) is direct
+
+    def test_store_signature_is_the_planner_signature(self):
+        from repro.engine import store_for
+
+        database = parse_database("p(1). p(2). r(1, 2). r(2, 2). r(2, 3). s(3).")
+        store = store_for(database)
+        arities = self.CONDITION.predicate_arities
+        signature = store.signature(arities)
+        assert signature == statistics_signature(arities, store.size, store.distinct)
+        assert store.signature(arities) is signature  # memoized per store
+        assert plan_condition(self.CONDITION, store.size, store.distinct) is plan_condition(
+            self.CONDITION, store.size, store.distinct, signature=signature
+        )
+
+    def test_builds_and_hits_are_registry_counters(self):
+        from repro.obs import REGISTRY
+
+        clear_plan_cache()
+        sizes = {"p": 1, "r": 2}
+        plan_condition(self.CONDITION, lambda predicate: sizes[predicate])
+        plan_condition(self.CONDITION, lambda predicate: sizes[predicate])
+        sizes["r"] = 3  # new statistics: a new plan
+        plan_condition(self.CONDITION, lambda predicate: sizes[predicate])
+        assert plan_cache_stats() == {"entries": 2, "builds": 2, "hits": 1}
+        assert REGISTRY.get("engine.plan.builds") == 2
+        assert REGISTRY.get("engine.plan.hits") == 1
+        clear_plan_cache()
+        assert plan_cache_stats() == {"entries": 0, "builds": 0, "hits": 0}

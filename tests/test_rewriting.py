@@ -491,6 +491,38 @@ class TestRewritingEngine:
         ]
 
 
+    def test_rewrite_reuses_the_extents_of_its_last_database(self, scenario, monkeypatch):
+        """``RewritingEngine.rewrite`` keeps one ``{database: extents}``
+        entry: a repeated ranking database materializes once, another
+        database replaces the entry, and the rankings match fresh ones."""
+        from repro.obs import REGISTRY
+        from repro.rewriting.views import ViewCatalog
+
+        calls: list = []
+        materialize = ViewCatalog.materialize
+
+        def counted(self, database):
+            calls.append(database)
+            return materialize(self, database)
+
+        monkeypatch.setattr(ViewCatalog, "materialize", counted)
+        other = random_warehouse_database(3)
+        engine = RewritingEngine(scenario.views)
+        query = scenario.queries["total_revenue"]
+        hits = REGISTRY.get("session.extents.hits")
+        misses = REGISTRY.get("session.extents.misses")
+        first = engine.rewrite(query, database=scenario.database, seed=1)
+        again = engine.rewrite(query, database=Database(scenario.database.facts), seed=1)
+        assert calls == [scenario.database]
+        engine.rewrite(query, database=other, seed=1)
+        assert calls == [scenario.database, other]
+        assert REGISTRY.get("session.extents.hits") == hits + 1
+        assert REGISTRY.get("session.extents.misses") == misses + 2
+        assert [(v.candidate.name, v.estimated_cost) for v in first.safe] == [
+            (v.candidate.name, v.estimated_cost) for v in again.safe
+        ]
+
+
 class TestCostModel:
     def test_distinct_count_estimate_splits_naive_ties(self):
         """Residual joins of equal naive size rank by join-column selectivity

@@ -489,9 +489,10 @@ class TestSessionViewExtents:
         scenario = build_view_scenario(stores=3, products=4, sales_per_store=6, seed=9)
         ws = self._scenario_workspace(scenario)
         ws.rewrite(scenario.queries["total_revenue"], database=scenario.database)
-        assert ws._extents
+        assert ws._rewriting_engine()._extents
         ws.close()
-        assert not ws._extents
+        # The extents live on the rewriting engine, which close() drops.
+        assert ws._engine is None
 
 
 class TestPersistentPool:
