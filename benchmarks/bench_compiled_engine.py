@@ -1,6 +1,6 @@
-"""Experiment E14 — the columnar compiled engine: kernel reuse and fallbacks.
+"""Experiment E14 — the columnar compiled engine: kernel reuse and warm speed.
 
-Three claims of the columnar-engine PR, each measured directly:
+Three claims about the columnar engine, each measured directly:
 
 1. **Per-plan kernels amortize across databases.**  A plan is compiled once
    per ``(steps, output)`` shape — the cache key deliberately excludes the
@@ -12,17 +12,14 @@ Three claims of the columnar-engine PR, each measured directly:
 
 2. **Warm evaluation clears a speedup floor over the planned interpreter**
    on the scaled warehouse (the representative per-cell cost once interning
-   and compilation have amortized).  The primary >= 5x acceptance floor
+   and compilation have amortized).  The generated loop kernels are the
+   compiled engine's only executor, so this is also the claim that they
+   stand alone on the standard library.  The primary >= 5x acceptance floor
    lives in ``bench_evaluator_scaling.py``; this benchmark re-measures with
    a softer floor as a cross-check so the two files cannot drift apart
    silently.
 
-3. **The pure-python loop kernels stand alone.**  With ``REPRO_NO_NUMPY=1``
-   (the CI configuration without NumPy installed) the compiled engine must
-   still beat the planned interpreter — the vectorized ``searchsorted`` path
-   is an accelerator, not a crutch.
-
-4. **Disabled instrumentation is free.**  The observability layer
+3. **Disabled instrumentation is free.**  The observability layer
    (:mod:`repro.obs`) threads counter increments and trace spans through the
    warm compiled path; with tracing off those must cost under 3% of warm
    wall-clock.  Measured directly: the per-operation cost of the disabled
@@ -57,7 +54,7 @@ from repro.workloads.generators import random_warehouse_database
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
-#: Scaled warehouse for the warm-evaluation and no-NumPy measurements.
+#: Scaled warehouse for the warm-evaluation measurement.
 SCALE = (
     dict(stores=10, products=8, sales_per_store=40, seed=7)
     if QUICK
@@ -71,9 +68,6 @@ BATCH = 12 if QUICK else 60
 #: floor is asserted by bench_evaluator_scaling.py; this one only has to
 #: catch a regression that would leave that file stale).
 WARM_FLOOR = 1.2 if QUICK else 3.0
-
-#: Floor for the loop-kernel (REPRO_NO_NUMPY=1) compiled/planned ratio.
-LOOP_FLOOR = 1.0 if QUICK else 2.0
 
 #: Ceiling for disabled-instrumentation overhead on the warm compiled path.
 OBS_CEILING = 0.03
@@ -205,28 +199,15 @@ def run_benchmark(quick: bool) -> dict:
     warm_planned = _measure_warm_total(warehouse, "planned")
     warm_compiled = _measure_warm_total(warehouse, "compiled")
 
-    # 4. Disabled-instrumentation overhead on the (already warm) compiled path.
+    # 3. Disabled-instrumentation overhead on the (already warm) compiled path.
     obs_ops, obs_overhead_ratio = _measure_obs_overhead(warehouse)
 
-    # Snapshot the work counters now, before the teardown _cold() calls
-    # reset the engine scope: this is what the --json records carry.
+    # Snapshot the work counters now, before the teardown _cold() resets
+    # the engine scope: this is what the --json records carry.
     from repro.obs import REGISTRY
 
     counters = REGISTRY.snapshot()
-
-    # 3. Loop kernels only (the store is rebuilt under REPRO_NO_NUMPY=1, so
-    #    the vectorized path is never taken).
-    previous = os.environ.get("REPRO_NO_NUMPY")
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        _cold()
-        loop_compiled = _measure_warm_total(warehouse, "compiled")
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NO_NUMPY", None)
-        else:
-            os.environ["REPRO_NO_NUMPY"] = previous
-        _cold()
+    _cold()
 
     return {
         "quick": quick,
@@ -239,7 +220,6 @@ def run_benchmark(quick: bool) -> dict:
         "stats_after_second": stats_after_second,
         "warm_planned": warm_planned,
         "warm_compiled": warm_compiled,
-        "loop_compiled": loop_compiled,
         "obs_ops": obs_ops,
         "obs_overhead_ratio": obs_overhead_ratio,
         "counters": counters,
@@ -261,10 +241,6 @@ def _render(result: dict) -> list[str]:
         f"{result['warm_compiled'] * 1000:.1f} ms "
         f"({result['warm_planned'] / result['warm_compiled']:.1f}x, floor "
         f"{1.2 if result['quick'] else 3.0}x)",
-        f"[E14:{mode}] loop kernels (REPRO_NO_NUMPY=1): compiled "
-        f"{result['loop_compiled'] * 1000:.1f} ms "
-        f"({result['warm_planned'] / result['loop_compiled']:.1f}x vs planned, "
-        f"floor {1.0 if result['quick'] else 2.0}x)",
         f"[E14:{mode}] disabled instrumentation: {result['obs_ops']} ops per "
         f"warm pass, {result['obs_overhead_ratio'] * 100:.3f}% of wall "
         f"(ceiling {OBS_CEILING * 100:.0f}%)",
@@ -288,12 +264,6 @@ def _check(result: dict) -> None:
         f"warm compiled speedup {warm_ratio:.2f}x below the {warm_floor}x floor"
     )
 
-    loop_floor = 1.0 if result["quick"] else 2.0
-    loop_ratio = result["warm_planned"] / result["loop_compiled"]
-    assert loop_ratio >= loop_floor, (
-        f"loop-kernel compiled speedup {loop_ratio:.2f}x below the {loop_floor}x floor"
-    )
-
     assert result["obs_ops"] > 0, "warm pass performed no instrumented ops"
     assert result["obs_overhead_ratio"] < OBS_CEILING, (
         f"disabled instrumentation costs {result['obs_overhead_ratio'] * 100:.2f}% "
@@ -301,7 +271,7 @@ def _check(result: dict) -> None:
     )
 
 
-@pytest.mark.paper_artifact("Engine substrate — columnar kernels: reuse and fallbacks")
+@pytest.mark.paper_artifact("Engine substrate — columnar kernels: reuse and warm speed")
 def test_compiled_engine(report_lines):
     result = run_benchmark(QUICK)
     report_lines.extend(_render(result))
@@ -354,13 +324,6 @@ def main() -> int:
                     "compiled_engine.warm_catalog_compiled",
                     result["warm_compiled"],
                     result["warm_planned"] / result["warm_compiled"],
-                    engine="compiled",
-                    counters=result["counters"],
-                ),
-                json_record(
-                    "compiled_engine.warm_catalog_loop_kernels",
-                    result["loop_compiled"],
-                    result["warm_planned"] / result["loop_compiled"],
                     engine="compiled",
                     counters=result["counters"],
                 ),

@@ -15,7 +15,9 @@ analyst catalog):
   memoized Γ dropped between repetitions.  Warm is the representative regime:
   the counterexample sweep evaluates thousands of (subset, ordering) cells
   through the same per-plan kernels, so interning and compilation amortize to
-  noise while the per-evaluation cost is paid every cell.
+  noise while the per-evaluation cost is paid every cell.  The ratio is the
+  median over interleaved planned/compiled passes, so one slow pass on a
+  shared host cannot decide the gate.
 
 The residual gap on aggregate-heavy queries is dominated by exact
 ``Fraction`` arithmetic inside the aggregate functions — α-application cost
@@ -32,6 +34,7 @@ shared runners do not flake).
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import pytest
@@ -72,12 +75,15 @@ KERNEL_WINS = ["premium_kept_products", "revenue_per_store", "revenue_per_store_
 SPEEDUP_FLOOR = 2.0 if QUICK else 5.0
 
 #: Acceptance floor for the whole-catalog planned->compiled speedup at the
-#: evaluate() level (this PR demands >= 5x warm at full scale; measured
-#: ~6.5x, with the shared Fraction-arithmetic α cost bounding the total).
+#: evaluate() level (>= 5x warm at full scale; measured 5.5-6.1x on a 2-CPU
+#: host, with the shared Fraction-arithmetic α cost bounding the total).
 COMPILED_FLOOR = 1.5 if QUICK else 5.0
 
-#: Per-query floor for the kernel-dominated queries (measured 40-60x).
+#: Per-query floor for the kernel-dominated queries (measured 14-23x).
 KERNEL_FLOOR = 10.0
+
+#: Interleaved planned/compiled passes whose median ratio the gate reads.
+WARM_PASSES = 5
 
 
 def _best_of(callable_, repeats: int = 3) -> float:
@@ -115,26 +121,48 @@ def _measure(warehouse) -> dict[str, tuple[float, float]]:
     return timings
 
 
-def _measure_warm(warehouse, mode: str, repeats: int = 5) -> dict[str, float]:
-    """Per-query warm ``evaluate()`` seconds under the given engine mode.
+def _measure_warm(warehouse, repeats: int = 5) -> tuple[dict[str, float], dict[str, float]]:
+    """Per-query warm ``evaluate()`` seconds of the planned and the compiled
+    engine, ``(planned, compiled)``.
 
-    A first untimed call interns the store, compiles the kernels, plans the
-    conditions and builds the indexes; each timed repetition then drops only
-    the memoized Γ results so both engines recompute the evaluation proper.
+    A first untimed call per engine interns the store, compiles the kernels,
+    plans the conditions and builds the indexes; each timed repetition then
+    drops only the memoized Γ results so both engines recompute the
+    evaluation proper.  The two engines' repetitions alternate, so a burst
+    of load on a shared host slows both sides of the ratio alike.
     """
     database = warehouse.database
-    timings: dict[str, float] = {}
-    with engine_scope(mode):
-        for name, query in sorted(warehouse.queries.items()):
-            evaluate(query, database)  # warm kernels, store, plans, indexes
-            best = float("inf")
-            for _ in range(repeats):
-                _satisfying_assignments_cached.cache_clear()
-                start = time.perf_counter()
-                evaluate(query, database)
-                best = min(best, time.perf_counter() - start)
-            timings[name] = best
-    return timings
+    timings: dict[str, dict[str, float]] = {"planned": {}, "compiled": {}}
+    for name, query in sorted(warehouse.queries.items()):
+        for mode in timings:
+            with engine_scope(mode):
+                evaluate(query, database)  # warm kernels, store, plans, indexes
+            timings[mode][name] = float("inf")
+        for _ in range(repeats):
+            for mode, seconds in timings.items():
+                with engine_scope(mode):
+                    _satisfying_assignments_cached.cache_clear()
+                    start = time.perf_counter()
+                    evaluate(query, database)
+                    seconds[name] = min(seconds[name], time.perf_counter() - start)
+    return timings["planned"], timings["compiled"]
+
+
+def _median_warm(warehouse):
+    """``(planned, compiled, overall)``: per-query median warm seconds of
+    each engine and the median catalog-wide planned/compiled ratio over
+    ``WARM_PASSES`` runs of :func:`_measure_warm`."""
+    runs = [_measure_warm(warehouse) for _ in range(WARM_PASSES)]
+    overall = statistics.median(
+        sum(planned.values()) / sum(compiled.values()) for planned, compiled in runs
+    )
+
+    def per_query(side: int) -> dict[str, float]:
+        return {
+            name: statistics.median(run[side][name] for run in runs) for name in runs[0][side]
+        }
+
+    return per_query(0), per_query(1), overall
 
 
 @pytest.mark.paper_artifact("Engine substrate — indexed/planned join evaluation")
@@ -193,11 +221,9 @@ def test_compiled_engine_speedup(report_lines):
             compiled_result = evaluate(query, warehouse.database)
         assert planned_result == compiled_result, name
 
-    planned = _measure_warm(warehouse, "planned")
-    compiled = _measure_warm(warehouse, "compiled")
+    planned, compiled, overall = _median_warm(warehouse)
     total_planned = sum(planned.values())
     total_compiled = sum(compiled.values())
-    overall = total_planned / total_compiled
 
     for name in sorted(planned):
         report_lines.append(
@@ -210,7 +236,7 @@ def test_compiled_engine_speedup(report_lines):
         f"[E9c] {'TOTAL':26s} ({mode}, {warehouse.fact_count} facts): "
         f"planned {total_planned * 1000:7.2f} ms, "
         f"compiled {total_compiled * 1000:7.2f} ms, "
-        f"speedup {overall:6.1f}x (floor {COMPILED_FLOOR}x)"
+        f"speedup {overall:6.1f}x (median of {WARM_PASSES} passes, floor {COMPILED_FLOOR}x)"
     )
 
     assert overall >= COMPILED_FLOOR, (
@@ -255,8 +281,7 @@ def main() -> int:
           f"{total_planned_cold * 1000:7.2f} ms  speedup "
           f"{total_naive / total_planned_cold:6.1f}x")
 
-    planned_warm = _measure_warm(warehouse, "planned")
-    compiled_warm = _measure_warm(warehouse, "compiled")
+    planned_warm, compiled_warm, overall = _median_warm(warehouse)
     total_planned = sum(planned_warm.values())
     total_compiled = sum(compiled_warm.values())
     print()
@@ -268,7 +293,7 @@ def main() -> int:
         )
     print(f"{'TOTAL':26s} planned {total_planned * 1000:7.2f} ms  compiled "
           f"{total_compiled * 1000:7.2f} ms  speedup "
-          f"{total_planned / total_compiled:6.1f}x")
+          f"{overall:6.1f}x (median of {WARM_PASSES} passes)")
 
     if arguments.json:
         from _jsonlog import json_record, write_json_records
@@ -289,7 +314,7 @@ def main() -> int:
                 json_record(
                     "evaluator_scaling.compiled_total_warm",
                     total_compiled,
-                    total_planned / total_compiled,
+                    overall,
                     engine="compiled",
                 ),
             ],

@@ -13,15 +13,11 @@ setup(
     # consumable by downstream type checkers.
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.11",
-    # The core is dependency-free by design: the decision procedures, the
+    # The package is dependency-free by design: the decision procedures, the
     # planned interpreter, and the compiled engine's pure-python loop kernels
     # run on the standard library alone.
     install_requires=[],
     extras_require={
-        # Enables the vectorized searchsorted join path of
-        # repro.engine.columnar for large relations; everything falls back to
-        # the loop kernels when NumPy is absent (or REPRO_NO_NUMPY=1).
-        "numpy": ["numpy"],
         "test": ["pytest", "hypothesis"],
     },
 )

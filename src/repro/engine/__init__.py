@@ -17,8 +17,8 @@ process-global mode of :mod:`repro.engine.modes` (``REPRO_ENGINE`` env var;
    placed at the earliest point all its variables are bound.  Plans depend
    only on the condition and the relations' size/distinct *statistics*, so
    they are cached per ``(condition, statistics signature)``; the compiled
-   engine goes one step further and keeps plan, vector-or-loop decision and
-   kernel in one dispatch table per ``(condition, output terms, signature)``.
+   engine goes one step further and keeps plan and kernel in one dispatch
+   table per ``(condition, output terms, signature)``.
 
 2. **Execution** — three interchangeable back ends:
 
@@ -35,9 +35,9 @@ process-global mode of :mod:`repro.engine.modes` (``REPRO_ENGINE`` env var;
      symbolically), and :mod:`repro.engine.compile` code-generates each plan
      into a specialized Python function over those ids — no per-tuple
      interpretation, projection inside the kernel, one kernel shared by
-     every database the plan runs over.  Large relations route through a
-     NumPy ``searchsorted`` join executor when NumPy is importable
-     (``REPRO_NO_NUMPY=1`` forces the pure-python kernels).
+     every database the plan runs over.  The generated loop kernels are the
+     compiled engine's only executor, so the package runs on the standard
+     library alone.
 
    Index invariants (planned and compiled alike): databases are immutable, so
    an index never goes stale; an index maps each projection of a row onto the
@@ -58,7 +58,6 @@ process-global mode of :mod:`repro.engine.modes` (``REPRO_ENGINE`` env var;
 from .columnar import (
     ColumnarStore,
     clear_store_cache,
-    execute_plan_vector,
     store_cache_stats,
     store_for,
 )
@@ -149,7 +148,6 @@ __all__ = [
     "evaluate_bag_set",
     "evaluate_set",
     "execute_plan",
-    "execute_plan_vector",
     "execute_symbolic_plan",
     "get_kernel",
     "group_assignments",

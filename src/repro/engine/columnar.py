@@ -1,4 +1,4 @@
-"""Columnar relation storage: interned id columns and vectorized join probes.
+"""Columnar relation storage: interned id rows and the hash indexes over them.
 
 The compiled engine (:mod:`repro.engine.compile`) does not evaluate over the
 value-shaped relations of :class:`~repro.datalog.database.Database` /
@@ -22,14 +22,8 @@ without special cases — an absent key simply probes an index miss, and
 ``x < c`` compiles to ``id(x) < bisect_left(carrier, c)``.
 
 On top of the id rows the store maintains the lazy per-``(predicate,
-columns)`` hash indexes the kernels probe, NumPy ``int64`` column matrices
-when NumPy is importable (``REPRO_NO_NUMPY=1`` forces the pure-python
-fallback), and :func:`execute_plan_vector` — a column-at-a-time plan executor
-whose joins run as packed-key ``argsort``/``searchsorted`` probes instead of
-per-tuple loops.  The vectorized path is only selected for plans over
-relations of at least ``REPRO_VECTOR_THRESHOLD`` rows (default 512): below
-that the NumPy per-call overhead loses to the generated loop kernels, which
-share the exact same store.
+columns)`` hash indexes and the anti-join row sets the generated loop
+kernels probe.
 
 Stores are built once per database through :func:`store_for` (a capped global
 cache — both database classes hash by value, so sweeps re-creating equal
@@ -40,55 +34,12 @@ cache — both database classes hash by value, so sweeps re-creating equal
 from __future__ import annotations
 
 import itertools
-import os
 from bisect import bisect_left
-from typing import Iterable, Optional
 
 from ..caches import register_cache
-from ..datalog.terms import Constant, Term, Variable
-from ..errors import EvaluationError
+from ..datalog.terms import Constant
 from ..obs import REGISTRY as _OBS
-from .planner import (
-    AtomStep,
-    BindStep,
-    CompareStep,
-    NegationStep,
-    Plan,
-    Signature,
-    statistics_signature,
-)
-
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-
-
-def numpy_module():
-    """The NumPy module the stores use, or ``None`` (not importable, or
-    disabled via ``REPRO_NO_NUMPY``).  Read per store build, so tests can
-    toggle the fallback without reloading modules."""
-    if os.environ.get("REPRO_NO_NUMPY", "").strip().lower() in ("1", "true", "yes"):
-        return None
-    return _numpy
-
-
-def vector_threshold() -> int:
-    """Minimum relation size for the vectorized join path (env-tunable)."""
-    try:
-        return int(os.environ.get("REPRO_VECTOR_THRESHOLD", "512"))
-    except ValueError:
-        return 512
-
-
-#: Packed join keys must stay below 2**62 to fit a signed int64 safely.
-_PACK_LIMIT = 2**62
-
-
-class _VectorFallback(Exception):
-    """Raised when the vectorized executor cannot represent the plan (packed
-    keys would overflow int64, mixed-arity relations, ...); the caller falls
-    back to the generated loop kernel, which has no such limits."""
+from .planner import Signature, statistics_signature
 
 
 class ColumnarStore:
@@ -98,16 +49,12 @@ class ColumnarStore:
         "symbolic",
         "decode_values",
         "carrier_len",
-        "numpy",
-        "threshold",
         "_id_of",
         "_canonical",
         "_rows_all",
         "_rows",
         "_indexes",
         "_row_sets",
-        "_matrices",
-        "_packed",
         "_bounds",
         "_decode_ids",
         "_signatures",
@@ -135,8 +82,6 @@ class ColumnarStore:
             self._canonical = None
             relations = database._by_predicate
         self.carrier_len = len(self.decode_values)
-        self.numpy = numpy_module()
-        self.threshold = vector_threshold()
         id_of = self._id_of
         rows_all: dict[str, tuple[tuple[int, ...], ...]] = {}
         for predicate, value_rows in relations.items():
@@ -147,8 +92,6 @@ class ColumnarStore:
         self._rows: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {}
         self._indexes: dict[tuple[str, tuple[int, ...], int], dict] = {}
         self._row_sets: dict[str, frozenset] = {}
-        self._matrices: dict[tuple[str, int], object] = {}
-        self._packed: dict[tuple[str, int], object] = {}
         self._bounds: dict[Constant, tuple[int, int, int]] = {}
         self._decode_ids: dict[Constant, int] = {}
         self._signatures: dict[tuple[tuple[str, int], ...], Signature] = {}
@@ -265,46 +208,6 @@ class ColumnarStore:
             return op.holds(self.bounds(left)[2], self.bounds(right)[2])
         return op.holds(left.value, right.value)
 
-    # ------------------------------------------------------------------
-    # Vectorized structures (NumPy only)
-    # ------------------------------------------------------------------
-    def matrix(self, predicate: str, arity: int):
-        """The relation's id rows as an ``(n, arity)`` int64 matrix."""
-        key = (predicate, arity)
-        cached = self._matrices.get(key)
-        if cached is None:
-            np = self.numpy
-            rows = self.rows(predicate, arity)
-            cached = np.asarray(rows, dtype=np.int64).reshape(len(rows), arity)
-            self._matrices[key] = cached
-        return cached
-
-    def packed_rows(self, predicate: str, arity: int):
-        """The relation's ``arity``-ary id rows packed into sorted int64 keys
-        (for vectorized anti-join membership)."""
-        key = (predicate, arity)
-        cached = self._packed.get(key)
-        if cached is None:
-            np = self.numpy
-            matrix = self.matrix(predicate, arity)
-            packed = _pack(np, self.carrier_len + 2, [matrix[:, c] for c in range(arity)])
-            packed = np.sort(packed)
-            cached = packed
-            self._packed[key] = cached
-        return cached
-
-    def vector_candidate(self, plan: Plan) -> bool:
-        """Whether the vectorized executor should even be attempted for this
-        plan on this store: NumPy available and at least one joined relation
-        large enough that columnar arithmetic beats the loop kernel."""
-        if self.numpy is None:
-            return False
-        largest = 0
-        for step in plan.steps:
-            if isinstance(step, AtomStep):
-                largest = max(largest, self.size(step.atom.predicate))
-        return largest >= self.threshold
-
 
 # ----------------------------------------------------------------------
 # The store cache
@@ -337,8 +240,8 @@ def store_for(database) -> ColumnarStore:  # noqa: ANN001
 
 
 def clear_store_cache() -> None:
-    """Drop every cached store (and with them the column indexes, matrices,
-    and packed keys they hold)."""
+    """Drop every cached store (and with them the column indexes and row
+    sets they hold)."""
     _STORE_CACHE.clear()
     _OBS.reset("engine.store.")
 
@@ -352,224 +255,3 @@ def store_cache_stats() -> dict[str, int]:
         "builds": _OBS.get("engine.store.builds"),
         "hits": _OBS.get("engine.store.hits"),
     }
-
-
-# ----------------------------------------------------------------------
-# Vectorized plan execution
-# ----------------------------------------------------------------------
-def _pack(np, base: int, columns: list):  # noqa: ANN001
-    """Pack parallel id columns into one int64 key per row.
-
-    Components range over ``[-1, base - 3]`` (ids plus the absent-constant
-    sentinel), so each is shifted by one and packed base-``base`` — the
-    sentinel packs to digit 0, which no interned id produces, keeping absent
-    keys collision-free.  Raises :class:`_VectorFallback` when the packed
-    range would overflow int64.
-    """
-    width = len(columns)
-    if width == 0:
-        raise _VectorFallback
-    if base < 2 or base**width > _PACK_LIMIT:
-        raise _VectorFallback
-    packed = columns[0].astype(np.int64) + 1
-    for column in columns[1:]:
-        packed = packed * base + (column.astype(np.int64) + 1)
-    return packed
-
-
-def _constant_map(plan: Plan) -> dict[Variable, Constant]:
-    """Variables the plan defines by equating them with a constant.
-
-    Such a variable may hold a value outside the carrier, so it cannot live
-    in the id space; both executors treat every later use of it as a use of
-    the constant itself (comparison bounds, probe sentinel, decode id).
-    """
-    mapping: dict[Variable, Constant] = {}
-    for step in plan.steps:
-        if isinstance(step, BindStep):
-            source = step.source
-            if isinstance(source, Constant):
-                mapping[step.variable] = source
-            elif source in mapping:
-                mapping[step.variable] = mapping[source]
-    return mapping
-
-
-def execute_plan_vector(
-    plan: Plan, store: ColumnarStore, output_terms: tuple[Term, ...]
-) -> Optional[list[tuple[int, ...]]]:
-    """Execute a plan column-at-a-time over the store's NumPy matrices.
-
-    Returns the same ``list`` of id rows (one per satisfying assignment, one
-    entry per output term) the generated loop kernel produces — row *order*
-    may differ, which is fine: every consumer treats the rows as a bag —
-    or ``None`` when the plan cannot be vectorized, in which case the caller
-    runs the loop kernel instead.
-    """
-    np = store.numpy
-    if np is None:
-        return None
-    if not plan.resolvable:
-        return []
-    try:
-        return _run_vector(np, plan, store, output_terms)
-    except _VectorFallback:
-        return None
-
-
-def _run_vector(np, plan: Plan, store: ColumnarStore, output_terms):  # noqa: ANN001
-    constant_of = _constant_map(plan)
-    columns: dict[Variable, object] = {}
-    count = 1
-
-    def apply_mask(mask) -> None:  # noqa: ANN001
-        nonlocal count
-        count = int(mask.sum())
-        for variable in list(columns):
-            columns[variable] = columns[variable][mask]
-
-    def probe_id(argument) -> int:  # noqa: ANN001 - Constant | const-bound Variable
-        constant = argument if isinstance(argument, Constant) else constant_of[argument]
-        return store.bounds(constant)[2]
-
-    for step in plan.steps:
-        if count == 0:
-            return []
-        if isinstance(step, AtomStep):
-            atom = step.atom
-            matrix = store.matrix(atom.predicate, atom.arity)
-            bound = set(step.bound_columns)
-            selection = None
-            key_columns: list[tuple[int, object]] = []
-            fresh: dict[Variable, int] = {}
-            for position, argument in enumerate(atom.arguments):
-                if position in bound:
-                    if isinstance(argument, Constant) or argument in constant_of:
-                        mask = matrix[:, position] == probe_id(argument)
-                        selection = mask if selection is None else selection & mask
-                    else:
-                        key_columns.append((position, columns[argument]))
-                else:
-                    first = fresh.get(argument)
-                    if first is None:
-                        fresh[argument] = position
-                    else:
-                        mask = matrix[:, position] == matrix[:, first]
-                        selection = mask if selection is None else selection & mask
-            sub = matrix if selection is None else matrix[selection]
-            if key_columns:
-                base = store.carrier_len + 2
-                relation_keys = _pack(np, base, [sub[:, p] for p, _ in key_columns])
-                probe_keys = _pack(np, base, [arr for _, arr in key_columns])
-                order = np.argsort(relation_keys, kind="stable")
-                sorted_keys = relation_keys[order]
-                left = np.searchsorted(sorted_keys, probe_keys, side="left")
-                right = np.searchsorted(sorted_keys, probe_keys, side="right")
-                matches = right - left
-                total = int(matches.sum())
-                partial_idx = np.repeat(np.arange(count), matches)
-                offsets = np.arange(total) - np.repeat(
-                    np.cumsum(matches) - matches, matches
-                )
-                row_idx = order[np.repeat(left, matches) + offsets]
-            else:
-                relation_rows = sub.shape[0]
-                partial_idx = np.repeat(np.arange(count), relation_rows)
-                row_idx = np.tile(np.arange(relation_rows), count)
-                total = count * relation_rows
-            for variable in list(columns):
-                columns[variable] = columns[variable][partial_idx]
-            for variable, position in fresh.items():
-                columns[variable] = sub[row_idx, position]
-            count = total
-        elif isinstance(step, BindStep):
-            # Constant definitions live in constant_of; variable-to-variable
-            # definitions alias the source column (rebinding, never mutation).
-            if step.variable not in constant_of:
-                columns[step.variable] = columns[step.source]
-        elif isinstance(step, CompareStep):
-            comparison = step.comparison
-            op = comparison.op
-            left, right = comparison.left, comparison.right
-            left_const = isinstance(left, Constant) or left in constant_of
-            right_const = isinstance(right, Constant) or right in constant_of
-            if left_const and right_const:
-                first = left if isinstance(left, Constant) else constant_of[left]
-                second = right if isinstance(right, Constant) else constant_of[right]
-                if not store.const_holds(first, op, second):
-                    return []
-            elif not left_const and not right_const:
-                apply_mask(_VECTOR_OPS[op](columns[left], columns[right]))
-            else:
-                if left_const:
-                    op = op.flip()
-                    variable, constant = right, left
-                else:
-                    variable, constant = left, right
-                constant = constant if isinstance(constant, Constant) else constant_of[constant]
-                lo, hi, eq = store.bounds(constant)
-                apply_mask(_VECTOR_CONST_OPS[op](columns[variable], lo, hi, eq))
-        else:  # NegationStep
-            atom = step.atom
-            packed = store.packed_rows(atom.predicate, atom.arity)
-            base = store.carrier_len + 2
-            parts = []
-            for argument in atom.arguments:
-                if isinstance(argument, Constant) or argument in constant_of:
-                    parts.append(np.full(count, probe_id(argument), dtype=np.int64))
-                else:
-                    parts.append(columns[argument])
-            if packed.size:
-                query_keys = _pack(np, base, parts)
-                positions = np.searchsorted(packed, query_keys)
-                clipped = np.minimum(positions, packed.size - 1)
-                found = (positions < packed.size) & (packed[clipped] == query_keys)
-                apply_mask(~found)
-    if count == 0:
-        return []
-    output: list = []
-    for term in output_terms:
-        if isinstance(term, Constant) or term in constant_of:
-            constant = term if isinstance(term, Constant) else constant_of[term]
-            output.append(np.full(count, store.decode_id(constant), dtype=np.int64))
-        else:
-            column = columns.get(term)
-            if column is None:
-                raise EvaluationError(f"unbound term {term} during vectorized evaluation")
-            output.append(column)
-    if not output:
-        return [()] * count
-    stacked = np.stack(output, axis=1)
-    return [tuple(row) for row in stacked.tolist()]
-
-
-def _vector_ops():
-    from ..datalog.atoms import ComparisonOp
-
-    return {
-        ComparisonOp.LT: lambda a, b: a < b,
-        ComparisonOp.LE: lambda a, b: a <= b,
-        ComparisonOp.GT: lambda a, b: a > b,
-        ComparisonOp.GE: lambda a, b: a >= b,
-        ComparisonOp.EQ: lambda a, b: a == b,
-        ComparisonOp.NE: lambda a, b: a != b,
-    }
-
-
-def _vector_const_ops():
-    from ..datalog.atoms import ComparisonOp
-
-    return {
-        # value(x) op c, rewritten over ranks: lo/hi are the bisection bounds
-        # of c in the sorted carrier, eq its id (or the -1 sentinel).
-        ComparisonOp.LT: lambda a, lo, hi, eq: a < lo,
-        ComparisonOp.LE: lambda a, lo, hi, eq: a < hi,
-        ComparisonOp.GT: lambda a, lo, hi, eq: a >= hi,
-        ComparisonOp.GE: lambda a, lo, hi, eq: a >= lo,
-        ComparisonOp.EQ: lambda a, lo, hi, eq: a == eq,
-        ComparisonOp.NE: lambda a, lo, hi, eq: a != eq,
-    }
-
-
-_VECTOR_OPS = _vector_ops()
-_VECTOR_CONST_OPS = _vector_const_ops()

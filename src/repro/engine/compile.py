@@ -29,33 +29,28 @@ sizes share the kernel too.
 
 Every evaluation reaches its kernel through :func:`dispatch` and one
 module-level table keyed by ``(condition, output_terms, statistics
-signature, NumPy present, vector threshold)``.  An entry holds the plan, the
-vector-or-loop decision and the loop kernel, each a pure function of its
-key: the plan depends on the condition and the statistics signature only
-(the same tuple the planner caches on, built once per store by
-:meth:`~repro.engine.columnar.ColumnarStore.signature`), the vector decision
-on the plan's relation sizes — part of the signature — and the two knobs a
-store reads at build time, and the kernel on the plan and the output terms.
-So ``plan_condition``, ``vector_candidate`` and :func:`get_kernel` run on a
-table miss only; a sweep's thousands of evaluations cost one dict probe
-each.  The kernel cache stays keyed without the statistics, so entries that
-differ only in sizes still share one compiled kernel.
+signature)``.  An entry holds the plan and its kernel, each a pure function
+of its key: the plan depends on the condition and the statistics signature
+only (the same tuple the planner caches on, built once per store by
+:meth:`~repro.engine.columnar.ColumnarStore.signature`), and the kernel on
+the plan and the output terms.  So ``plan_condition`` and :func:`get_kernel`
+run on a table miss only; a sweep's thousands of evaluations cost one dict
+probe each.  The kernel cache stays keyed without the statistics, so entries
+that differ only in sizes still share one compiled kernel.
 
 The drivers at the bottom are the compiled engine's entry points, mirroring
 the public evaluation API: concrete set / bag-set / aggregate evaluation and
 Γ(q, D), plus the symbolic Γ / groups / answer-multiset triple.  They decode
 id rows back to values (or block representatives) only at the projection
 boundary — group keys once per distinct group, never per tuple — which is
-where the engine's end-to-end speedup over the interpreter comes from.  Each
-driver routes through :func:`repro.engine.columnar.execute_plan_vector` first
-when the store's relations are large enough to clear the NumPy threshold.
+where the engine's end-to-end speedup over the interpreter comes from.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from ..caches import register_cache
 from ..datalog.atoms import ComparisonOp
@@ -74,7 +69,7 @@ from .planner import (
     Signature,
     plan_condition,
 )
-from .columnar import ColumnarStore, execute_plan_vector, store_for
+from .columnar import ColumnarStore, store_for
 
 #: Python source operators per comparison op (``EQ.symbol`` is ``"="``, which
 #: is not valid Python — hence an explicit table rather than ``op.symbol``).
@@ -334,9 +329,7 @@ def kernel_cache_stats() -> dict[str, int]:
 # ----------------------------------------------------------------------
 # The dispatch table
 # ----------------------------------------------------------------------
-#: ``(condition, output_terms, statistics signature, NumPy present, vector
-#: threshold) -> (plan, vectorize, kernel)``; ``kernel`` is ``None`` for
-#: vector entries, whose rare fallbacks fetch it through :func:`get_kernel`.
+#: ``(condition, output_terms, statistics signature) -> (plan, kernel)``.
 _DISPATCH: dict = {}
 _DISPATCH_LIMIT = 4096
 register_cache("engine/compile.py:_DISPATCH", "clear_evaluation_caches", _DISPATCH.clear)
@@ -344,28 +337,23 @@ register_cache("engine/compile.py:_DISPATCH", "clear_evaluation_caches", _DISPAT
 
 def dispatch(
     condition: Condition, store: ColumnarStore, output_terms: tuple[Term, ...]
-) -> tuple[Plan, bool, Optional[Callable]]:
-    """The ``(plan, vectorize, kernel)`` of one evaluation of ``condition``
-    over ``store``, from the dispatch table.
+) -> tuple[Plan, Callable]:
+    """The ``(plan, kernel)`` of one evaluation of ``condition`` over
+    ``store``, from the dispatch table.
 
-    Planning, the vector-or-loop decision and the kernel lookup are functions
-    of the dispatch key alone, so they run once per key.  A hit still counts
-    as a plan hit and, for a loop entry, a kernel hit, keeping
-    ``engine.plan.builds + hits`` one per evaluation and
+    Planning and the kernel lookup are functions of the dispatch key alone,
+    so they run once per key.  A hit still counts as a plan hit and a kernel
+    hit, keeping ``engine.plan.builds + hits`` one per evaluation and
     ``engine.kernel.compiles + hits`` equal to ``engine.dispatch.loop``."""
     signature = store.signature(condition.predicate_arities)
-    key = (condition, output_terms, signature, store.numpy is not None, store.threshold)
+    key = (condition, output_terms, signature)
     entry = _DISPATCH.get(key)
     if entry is not None:
         _OBS.inc("engine.plan.hits")
-        if entry[2] is not None:
-            _OBS.inc("engine.kernel.hits")
+        _OBS.inc("engine.kernel.hits")
         return entry
     plan = plan_condition(condition, store.size, store.distinct, signature=signature)
-    if store.vector_candidate(plan):
-        entry = (plan, True, None)
-    else:
-        entry = (plan, False, get_kernel(plan, output_terms))
+    entry = (plan, get_kernel(plan, output_terms))
     if len(_DISPATCH) >= _DISPATCH_LIMIT:
         for stale in list(itertools.islice(iter(_DISPATCH), _DISPATCH_LIMIT // 4)):
             del _DISPATCH[stale]
@@ -380,16 +368,9 @@ def condition_rows(
     condition: Condition, store: ColumnarStore, output_terms: tuple[Term, ...]
 ) -> list[tuple[int, ...]]:
     """All id rows (one per satisfying assignment, projected onto
-    ``output_terms``) of one condition over one store, via the vectorized
-    executor when profitable, the compiled loop kernel otherwise."""
-    plan, vectorize, kernel = dispatch(condition, store, output_terms)
-    if vectorize:
-        rows = execute_plan_vector(plan, store, output_terms)
-        if rows is not None:
-            _OBS.inc("engine.dispatch.vector")
-            return rows
-        _OBS.inc("engine.dispatch.vector_fallback")
-        kernel = get_kernel(plan, output_terms)
+    ``output_terms``) of one condition over one store, from its compiled
+    loop kernel."""
+    kernel = dispatch(condition, store, output_terms)[1]
     _OBS.inc("engine.dispatch.loop")
     with _span("kernel.execute"):
         return kernel(store)

@@ -135,7 +135,7 @@ def clear_evaluation_caches() -> None:
     them — ``engine.kernel.*`` via ``clear_kernel_cache``, ``engine.store.*``
     via ``clear_store_cache``, ``engine.plan.*`` via ``clear_plan_cache``,
     ``parallel.setup.*`` via ``clear_setup_memo``,
-    plus the vector-vs-loop ``engine.dispatch.*`` tallies here.  Everything
+    plus the ``engine.dispatch.*`` kernel-execution tally here.  Everything
     else survives: the shared-Γ counters (``engine.gamma.*``, owned by
     ``clear_symbolic_caches``), and the ``sweep.``/``parallel.pool.``/
     ``worker.``/``session.`` scopes, which describe work performed rather

@@ -1,15 +1,14 @@
 """Differential tests of the columnar compiled engine (ISSUE 6).
 
 The compiled engine — interned columnar stores plus per-plan code-generated
-kernels, with an optional NumPy join path — must be observationally identical
-to the planned interpreter and to the naive nested-loop reference on every
-semantics the package exposes: ``evaluate_set`` / ``evaluate_bag_set`` /
-``evaluate_aggregate``, Γ(q, D) as a multiset, the symbolic sweep verdicts,
-and the counterexample witnesses the sweep path reports.  The tests here pin
-that three-way agreement on the deterministic scenario catalogs and on
-adversarial random instances, force both compiled back ends (the vectorized
-path and the pure-python loop kernels), and check the cache-hygiene contract
-of ``clear_evaluation_caches``.
+kernels — must be observationally identical to the planned interpreter and
+to the naive nested-loop reference on every semantics the package exposes:
+``evaluate_set`` / ``evaluate_bag_set`` / ``evaluate_aggregate``, Γ(q, D) as
+a multiset, the symbolic sweep verdicts, and the counterexample witnesses the
+sweep path reports.  The tests here pin that three-way agreement on the
+deterministic scenario catalogs (one with 836 ``sales`` rows) and on
+adversarial random instances, and check the cache-hygiene contract of
+``clear_evaluation_caches``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.engine import (
     satisfying_assignments,
     store_cache_stats,
 )
-from repro.engine.columnar import numpy_module
 from repro.parallel.tasks import pair_check_tasks
 from repro.workloads import (
     build_view_scenario,
@@ -54,11 +52,16 @@ def _evaluate_under(mode: str, query, database):
 
 
 def _scenario_catalogs():
-    """Every deterministic scenario catalog: (label, queries, database)."""
+    """Every deterministic scenario catalog: (label, queries, database).
+    ``warehouse-836-sales`` holds the loop kernels to the oracle at the
+    scale of concrete reports, where the other instances stay at tens of
+    rows."""
     warehouse = build_warehouse(stores=4, products=5, sales_per_store=10, seed=7)
+    large = build_warehouse(stores=8, products=8, sales_per_store=120, seed=7)
     views = build_view_scenario(stores=3, products=4, sales_per_store=8, seed=11)
     return [
         ("warehouse", warehouse.queries, warehouse.database),
+        ("warehouse-836-sales", large.queries, large.database),
         ("views", views.queries, views.database),
         ("views-materialized", views.queries, views.materialized()),
     ]
@@ -161,45 +164,6 @@ def test_decide_pairs_parity_across_engines_and_workers():
         assert left == counterexample.left_result, pair
         assert right == counterexample.right_result, pair
     assert witnessed > 0  # the catalog is built to produce concrete witnesses
-
-
-@pytest.mark.skipif(numpy_module() is None, reason="NumPy unavailable")
-def test_forced_vectorized_path_agrees(monkeypatch):
-    """With the size threshold at zero every eligible plan takes the NumPy
-    path; results must not change."""
-    monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "0")
-    _clean()  # drop stores built with the default threshold
-    try:
-        warehouse = build_warehouse(stores=4, products=5, sales_per_store=10, seed=7)
-        for name, query in sorted(warehouse.queries.items()):
-            naive = _evaluate_under("naive", query, warehouse.database)
-            compiled = _evaluate_under("compiled", query, warehouse.database)
-            assert naive == compiled, name
-        for seed in range(10):
-            database = random_warehouse_database(seed)
-            for name, query in sorted(warehouse.queries.items()):
-                assert _evaluate_under("naive", query, database) == _evaluate_under(
-                    "compiled", query, database
-                ), (seed, name)
-    finally:
-        monkeypatch.undo()
-        _clean()  # drop stores built with threshold 0
-
-
-def test_no_numpy_fallback_agrees(monkeypatch):
-    """REPRO_NO_NUMPY=1 must route everything through the pure-python loop
-    kernels without changing any result."""
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    _clean()
-    try:
-        warehouse = build_warehouse(stores=4, products=5, sales_per_store=10, seed=7)
-        for name, query in sorted(warehouse.queries.items()):
-            naive = _evaluate_under("naive", query, warehouse.database)
-            compiled = _evaluate_under("compiled", query, warehouse.database)
-            assert naive == compiled, name
-    finally:
-        monkeypatch.undo()
-        _clean()
 
 
 def test_clear_evaluation_caches_drops_kernels_and_stores():
@@ -305,7 +269,7 @@ def _dispatch_cases():
 
 def test_dispatched_plan_equals_direct_plan():
     """The table serves exactly the plan ``plan_condition`` computes from the
-    store's statistics, and the loop kernel ``get_kernel`` compiles for it."""
+    store's statistics, and the kernel ``get_kernel`` compiles for it."""
     from repro.engine import get_kernel, plan_condition, store_for
     from repro.engine.compile import dispatch
 
@@ -314,13 +278,9 @@ def test_dispatched_plan_equals_direct_plan():
     for condition, database, output_terms in _dispatch_cases():
         store = store_for(database)
         for _ in range(2):  # the miss, then the hit
-            plan, vectorize, kernel = dispatch(condition, store, output_terms)
+            plan, kernel = dispatch(condition, store, output_terms)
             assert plan == plan_condition(condition, store.size, store.distinct)
-            assert vectorize == store.vector_candidate(plan)
-            if vectorize:
-                assert kernel is None
-            else:
-                assert kernel is get_kernel(plan, output_terms)
+            assert kernel is get_kernel(plan, output_terms)
         checked[store.symbolic] += 1
     assert checked[False] >= 40 and checked[True] >= 40
     _clean()
@@ -345,15 +305,15 @@ def test_stores_with_different_statistics_get_their_own_plan_and_kernel():
     first_atoms = [s.atom.predicate for s in first[0].steps if hasattr(s, "bound_columns")]
     second_atoms = [s.atom.predicate for s in second[0].steps if hasattr(s, "bound_columns")]
     assert first_atoms == ["r", "p"] and second_atoms == ["p", "r"]
-    assert first[2] is not second[2]
+    assert first[1] is not second[1]
     assert dispatch(condition, store_for(big_p_again), output_terms) is first
     assert len(_DISPATCH) == 2
     _clean()
 
 
 def test_dispatch_counters_keep_their_meaning():
-    """Every loop evaluation is one kernel compile or hit, every evaluation
-    one plan build or hit — table hits included."""
+    """Every evaluation is one kernel compile or hit and one plan build or
+    hit — table hits included."""
     from repro.obs import REGISTRY
 
     from repro.engine.compile import compiled_satisfying_assignments, compiled_symbolic_groups
@@ -368,14 +328,69 @@ def test_dispatch_counters_keep_their_meaning():
             for query in queries:
                 compiled_symbolic_groups(query, database)
     loop = REGISTRY.get("engine.dispatch.loop")
-    vector = REGISTRY.get("engine.dispatch.vector")
     kernel_lookups = REGISTRY.get("engine.kernel.compiles") + REGISTRY.get("engine.kernel.hits")
     plan_lookups = REGISTRY.get("engine.plan.builds") + REGISTRY.get("engine.plan.hits")
     assert loop > 0
     assert kernel_lookups == loop
-    assert plan_lookups == loop + vector
+    assert plan_lookups == loop
     assert REGISTRY.get("engine.plan.builds") < plan_lookups
     _clean()
+
+
+def test_retired_backend_switches_change_nothing(monkeypatch):
+    """``REPRO_VECTOR_THRESHOLD`` and ``REPRO_NO_NUMPY`` are read by nothing:
+    on relations far above the old 512-row threshold, setting them leaves
+    every result, every dispatch-table entry and every counter as it was, and
+    every evaluation runs on the loop kernels."""
+    from repro.engine import store_for
+    from repro.engine.compile import _DISPATCH, compiled_satisfying_assignments
+    from repro.obs import REGISTRY
+
+    warehouse = build_warehouse(stores=8, products=8, sales_per_store=120, seed=7)
+    database = warehouse.database
+    queries = sorted(warehouse.queries.items())
+
+    def run() -> tuple[dict, dict, dict]:
+        _clean()
+        assert store_for(database).size("sales") > 512
+        results = {
+            name: Counter(compiled_satisfying_assignments(query, database))
+            for name, query in queries
+        }
+        counters = {
+            name: REGISTRY.get(name)
+            for name in (
+                "engine.dispatch.loop",
+                "engine.dispatch.vector",
+                "engine.kernel.compiles",
+                "engine.kernel.hits",
+                "engine.plan.builds",
+                "engine.plan.hits",
+            )
+        }
+        assert all(len(entry) == 2 for entry in _DISPATCH.values())  # (plan, kernel)
+        plans = {key: plan for key, (plan, _kernel) in _DISPATCH.items()}
+        return results, plans, counters
+
+    try:
+        monkeypatch.delenv("REPRO_VECTOR_THRESHOLD", raising=False)
+        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+        baseline = run()
+        for threshold, no_numpy in (("0", None), ("0", "1"), (str(10**9), None)):
+            monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", threshold)
+            if no_numpy is None:
+                monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_NO_NUMPY", no_numpy)
+            assert run() == baseline, (threshold, no_numpy)
+        counters = baseline[2]
+        assert counters["engine.dispatch.vector"] == 0
+        assert counters["engine.dispatch.loop"] == (
+            counters["engine.plan.builds"] + counters["engine.plan.hits"]
+        )
+    finally:
+        monkeypatch.undo()
+        _clean()
 
 
 def test_clear_evaluation_caches_empties_the_dispatch_table():
@@ -399,47 +414,3 @@ def test_clear_evaluation_caches_empties_the_dispatch_table():
     clear_evaluation_caches()
     assert len(_DISPATCH) == 0
     assert plan_cache_stats() == {"entries": 0, "builds": 0, "hits": 0}
-
-
-@pytest.mark.skipif(numpy_module() is None, reason="NumPy unavailable")
-def test_backend_switches_never_reuse_a_stale_vector_decision(monkeypatch):
-    """The NumPy presence and the vector threshold a store read at build time
-    are part of the dispatch key: rebuilding the stores under other settings
-    (without clearing the table) must re-decide vector versus loop."""
-    from repro.engine import clear_store_cache, store_for
-    from repro.engine.compile import dispatch
-
-    warehouse = build_warehouse(stores=3, products=4, sales_per_store=6, seed=7)
-    cases = [
-        (disjunct, tuple(query.head_terms))
-        for _name, query in sorted(warehouse.queries.items())
-        for disjunct in query.disjuncts
-    ]
-
-    def decisions() -> list[bool]:
-        clear_store_cache()  # the table survives; only the stores rebuild
-        store = store_for(warehouse.database)
-        return [dispatch(c, store, terms)[1] for c, terms in cases]
-
-    _clean()
-    try:
-        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "0")
-        assert all(decisions())
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert not any(decisions())
-        monkeypatch.delenv("REPRO_NO_NUMPY")
-        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", str(10**9))
-        assert not any(decisions())
-        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "0")
-        assert all(decisions())
-        # Results agree with the naive oracle under every setting.
-        for setting in ("0", str(10**9)):
-            monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", setting)
-            clear_store_cache()
-            for query in warehouse.queries.values():
-                assert _evaluate_under("naive", query, warehouse.database) == _evaluate_under(
-                    "compiled", query, warehouse.database
-                )
-    finally:
-        monkeypatch.undo()
-        _clean()

@@ -1,5 +1,10 @@
 """Tests for the public API surface and the error hierarchy."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 import repro
@@ -56,6 +61,44 @@ class TestPackageSurface:
         database = repro.parse_database("p(1, 2).")
         assert repro.evaluate(query, database) == {(1,): 2}
         assert repro.are_equivalent(query, query).is_equivalent
+
+
+class TestStdlibOnly:
+    """The package runs on the standard library alone: evaluating a catalog
+    and deciding its matrix must not import NumPy, even where it is
+    installed.  A fresh interpreter keeps modules the test runner loaded
+    out of the check."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import sys
+
+        import repro
+        from repro.engine import evaluate
+        from repro.workloads import build_warehouse
+
+        warehouse = build_warehouse()
+        for query in warehouse.queries.values():
+            evaluate(query, warehouse.database)
+        ws = repro.Workspace()
+        for name, query in warehouse.queries.items():
+            ws.add(query, name=name)
+        assert len(ws.equivalences()) == 28
+        ws.close()
+        assert "numpy" not in sys.modules, "numpy was imported"
+        """
+    )
+
+    def test_evaluation_and_decision_import_no_numpy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestErrorHierarchy:
